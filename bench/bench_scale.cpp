@@ -18,19 +18,10 @@
 //              --json-label, default "current"), extending the
 //              checked-in perf trajectory.
 // --linear     use the brute-force channel (kLinear) instead of the
-//              grid, for A/B-ing the index's win.
-// --shards K   run every point unsharded AND with K spatial shards
-//              (docs/SCALING.md "Sharding"), verify the runs
-//              byte-identical on every deterministic field, and report
-//              the speedup. The shard-smoke ctest label runs
-//              `--smoke --shards 4`.
-// --threads T  add a (shards, T-lane) variant of every point on top of
-//              the --shards pairing (docs/SCALING.md "Threading"); the
-//              equivalence gate byte-compares it against the serial
-//              baseline, and BENCH_scale.json points record `threads`
-//              plus the machine's `hw` lane count so the efficiency
-//              gate (tools/bench_check.py --efficiency) can skip
-//              underprovisioned hosts.
+//              strip/grid index, for A/B-ing the index's win. The
+//              channel-strip count of every point is derived from the
+//              circuit's extent (docs/SCALING.md "Channel strips") and
+//              reported in the `strips` column.
 // --vehicles   comma-separated fleet-size override (e.g.
 //              --vehicles 10000).
 // --duration S sim-seconds override per point.
@@ -42,7 +33,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -116,12 +106,9 @@ void write_scale_json(
     w.value(to_string(r.protocol));
     w.key("vehicles");
     w.value(static_cast<std::int64_t>(r.vehicles));
-    w.key("shards");
-    w.value(static_cast<std::int64_t>(r.shards));
-    w.key("threads");
-    w.value(static_cast<std::int64_t>(r.threads));
-    // Lanes this host can actually provide: the scaling-efficiency gate
-    // skips points whose requested threads exceed it.
+    w.key("strips");
+    w.value(static_cast<std::int64_t>(r.flow.channel_strips));
+    // Hardware lanes of the recording host (the run itself is serial).
     w.key("hw");
     w.value(static_cast<std::int64_t>(cavenet::exec::resolve_workers(0)));
     w.key("events");
@@ -144,34 +131,6 @@ void write_scale_json(
   std::ofstream out(path, std::ios::trunc);
   out << w.str() << '\n';
   std::cout << "json: " << path << " (label \"" << label << "\")\n";
-}
-
-/// Every deterministic field of a scale point, rendered exactly
-/// (hexfloat doubles). Two runs of the same point at different shard
-/// counts must produce identical text — the bench's own equivalence
-/// gate, independent of the test suite's.
-std::string deterministic_dump(const cavenet::scenario::ScaleRunResult& r) {
-  const auto hex = [](double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return std::string(buf);
-  };
-  std::ostringstream out;
-  const cavenet::scenario::SenderRunResult& f = r.flow;
-  out << to_string(r.protocol) << ' ' << r.vehicles << '\n'
-      << f.tx_packets << ' ' << f.rx_packets << ' ' << hex(f.pdr) << ' '
-      << hex(f.mean_delay_s) << ' ' << hex(f.max_delay_s) << ' '
-      << hex(f.first_delivery_delay_s) << ' ' << hex(f.mean_hop_count)
-      << '\n'
-      << f.control_packets << ' ' << f.control_bytes << ' '
-      << f.route_discoveries << ' ' << f.mac_collisions << ' '
-      << f.mac_retries << ' ' << f.mac_tx_failed << ' '
-      << f.events_dispatched << ' ' << hex(f.channel_utilization) << '\n'
-      << r.transmissions << ' ' << r.rx_power_evaluated << ' '
-      << r.rx_power_culled << '\n';
-  for (const double g : f.goodput_bps) out << hex(g) << ' ';
-  out << '\n';
-  return out.str();
 }
 
 std::vector<std::int32_t> parse_fleets(const std::string& csv) {
@@ -200,22 +159,12 @@ int main(int argc, char** argv) {
   const int jobs = static_cast<int>(args.get_int("jobs", 1));
   const bool smoke = args.get_bool("smoke", false);
   const bool linear = args.get_bool("linear", false);
-  const int shards = static_cast<int>(args.get_int("shards", 1));
-  const int threads = static_cast<int>(args.get_int("threads", 1));
   const std::string vehicles_csv = args.get_string("vehicles", "");
   const double duration_override = args.get_double("duration", 0.0);
   const bool write_json = args.get_bool("json", false);
   const std::string json_label = args.get_string("json-label", "current");
   for (const std::string& flag : args.unknown_flags()) {
     std::cerr << args.describe_unknown(flag) << "\n";
-    return 2;
-  }
-  if (shards < 1) {
-    std::cerr << "--shards must be >= 1\n";
-    return 2;
-  }
-  if (threads < 1) {
-    std::cerr << "--threads must be >= 1\n";
     return 2;
   }
 
@@ -233,13 +182,6 @@ int main(int argc, char** argv) {
       duration_override > 0.0 ? duration_override : (smoke ? 6.0 : 30.0);
   const double traffic_start_s = smoke ? 1.0 : 5.0;
 
-  // Parallel variants of every point, serial baseline first. Each extra
-  // variant feeds the equivalence gate (byte-identical against the
-  // baseline) and gets a speedup column.
-  std::vector<std::pair<int, int>> variants{{1, 1}};  // (shards, threads)
-  if (shards > 1) variants.emplace_back(shards, 1);
-  if (threads > 1) variants.emplace_back(shards, threads);
-
   std::vector<ScaleConfig> sweep;
   for (const Protocol protocol : {Protocol::kAodv, Protocol::kOlsr}) {
     for (const std::int32_t n : fleets) {
@@ -250,11 +192,7 @@ int main(int argc, char** argv) {
       config.traffic_start_s = traffic_start_s;
       config.channel_index =
           linear ? phy::ChannelIndex::kLinear : phy::ChannelIndex::kGrid;
-      for (const auto& [variant_shards, variant_threads] : variants) {
-        config.parallel.shards = variant_shards;
-        config.parallel.threads = variant_threads;
-        sweep.push_back(config);
-      }
+      sweep.push_back(config);
     }
   }
 
@@ -263,21 +201,18 @@ int main(int argc, char** argv) {
     std::cout << (i ? "/" : "") << fleets[i];
   }
   std::cout << " vehicles, AODV + OLSR, channel index "
-            << (linear ? "linear (brute force)" : "grid");
-  if (shards > 1) std::cout << ", shards 1 vs " << shards;
-  if (threads > 1) std::cout << ", threads 1 vs " << threads;
-  std::cout << "\n\n";
+            << (linear ? "linear (brute force)" : "strips + grid") << "\n\n";
 
   const std::vector<ScaleRunResult> results = run_scale_sweep(sweep, jobs);
 
-  TableWriter table({"protocol", "N", "shards", "threads", "PDR", "events",
+  TableWriter table({"protocol", "N", "strips", "PDR", "events",
                      "chan tx", "rx-pow eval", "rx-pow culled", "cull x",
                      "kernel [ms]", "wall [s]", "ev/s"});
   for (const ScaleRunResult& r : results) {
     table.add_row({std::string(to_string(r.protocol)),
                    static_cast<std::int64_t>(r.vehicles),
-                   static_cast<std::int64_t>(r.shards),
-                   static_cast<std::int64_t>(r.threads), r.flow.pdr,
+                   static_cast<std::int64_t>(r.flow.channel_strips),
+                   r.flow.pdr,
                    static_cast<std::int64_t>(r.flow.events_dispatched),
                    static_cast<std::int64_t>(r.transmissions),
                    static_cast<std::int64_t>(r.rx_power_evaluated),
@@ -295,40 +230,7 @@ int main(int argc, char** argv) {
     write_scale_json("BENCH_scale.json", json_label, results);
   }
 
-  // Parallel equivalence gate: the sweep interleaves every point's
-  // variants with its serial baseline first; anything non-identical in
-  // the deterministic fields is a kernel bug, not a perf regression.
   int failures = 0;
-  if (variants.size() > 1) {
-    for (std::size_t i = 0; i + variants.size() <= results.size();
-         i += variants.size()) {
-      const ScaleRunResult& base = results[i];
-      const std::string base_dump = deterministic_dump(base);
-      for (std::size_t v = 1; v < variants.size(); ++v) {
-        const ScaleRunResult& par = results[i + v];
-        const std::string par_dump = deterministic_dump(par);
-        if (base_dump != par_dump) {
-          std::printf(
-              "FAIL %s N=%d: shards=%d threads=%d run diverges from the "
-              "serial baseline\n"
-              "--- shards=1 threads=1 ---\n%s--- shards=%d threads=%d ---\n%s",
-              std::string(to_string(base.protocol)).c_str(), base.vehicles,
-              par.shards, par.threads, base_dump.c_str(), par.shards,
-              par.threads, par_dump.c_str());
-          ++failures;
-          continue;
-        }
-        const double speedup =
-            par.wall_s > 0.0 ? base.wall_s / par.wall_s : 0.0;
-        std::printf(
-            "equiv %s N=%d: byte-identical, shards=%d threads=%d "
-            "speedup %.2fx\n",
-            std::string(to_string(base.protocol)).c_str(), base.vehicles,
-            par.shards, par.threads, speedup);
-      }
-    }
-  }
-
   // Sanity gates so the smoke run fails loudly if the index regresses:
   // every pair (transmission, other radio) is either evaluated or culled,
   // and at the largest fleet the index must pay for itself.

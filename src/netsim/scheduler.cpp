@@ -76,7 +76,7 @@ void Scheduler::release_slot(std::uint32_t slot) noexcept {
 
 void Scheduler::push_entry(SimTime at, std::uint32_t slot,
                            std::uint32_t generation) {
-  heap_.push_back(HeapEntry{at, (*seq_src_)++, slot, generation});
+  heap_.push_back(HeapEntry{at, next_seq_++, slot, generation});
   std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
 }
 

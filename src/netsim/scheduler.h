@@ -224,27 +224,6 @@ class Scheduler {
   /// Dequeues and runs the earliest event. Returns false if none pending.
   bool run_one();
 
-  /// Key of the earliest pending event, for merging several schedulers
-  /// into one dispatch order (sharded Simulator). Sequence numbers drawn
-  /// from a shared counter (share_sequence) make the merged (at, seq)
-  /// order total and identical to a single-queue run. Returns false when
-  /// the queue is empty.
-  bool peek_next(SimTime& at, std::uint64_t& seq) const noexcept {
-    drop_cancelled();
-    if (heap_.empty()) return false;
-    at = heap_.front().at;
-    seq = heap_.front().seq;
-    return true;
-  }
-
-  /// Draws insertion sequence numbers from `seq` instead of the private
-  /// counter (nullptr reverts). All schedulers merged by one dispatcher
-  /// must share a counter so the global (time, seq) order stays the
-  /// single-queue order bit for bit. Switch before any event is queued.
-  void share_sequence(std::uint64_t* seq) noexcept {
-    seq_src_ = seq != nullptr ? seq : &next_seq_;
-  }
-
   /// Time of the most recently dequeued event.
   SimTime last_dispatched() const noexcept { return last_dispatched_; }
 
@@ -349,10 +328,6 @@ class Scheduler {
   /// is a short pointer-compare scan.
   std::vector<std::string_view> components_{std::string_view{}};
   std::uint64_t next_seq_ = 0;
-  /// Where push_entry draws sequence numbers; the scheduler's own counter
-  /// unless share_sequence() pointed it at a shared one. (Scheduler is
-  /// neither copyable nor movable, so the self-pointer is stable.)
-  std::uint64_t* seq_src_ = &next_seq_;
   std::uint64_t dispatched_ = 0;
   SimTime last_dispatched_ = SimTime::zero();
   obs::KernelProfiler* profiler_ = nullptr;

@@ -2,155 +2,27 @@
 
 #include <cstdio>
 #include <stdexcept>
-#include <string>
 
 #include "obs/trace_sink.h"
 #include "util/logging.h"
 
 namespace cavenet::netsim {
 
-void Simulator::enable_parallel(const ParallelConfig& config) {
-  config.validate();
-  if (parallel_enabled_) {
-    throw std::logic_error("enable_parallel: already enabled");
-  }
-  if (events_dispatched() != 0 || queue_depth() != 0 ||
-      now_ != SimTime::zero()) {
-    throw std::logic_error(
-        "enable_parallel must be called before any event is scheduled");
-  }
-  parallel_enabled_ = true;
-  epoch_interval_ = SimTime::from_seconds(config.epoch_s);
-  next_epoch_ = epoch_interval_;
-  if (config.shards > 1) {
-    enable_sharding(static_cast<std::uint32_t>(config.shards));
-  }
-  const int threads = exec::resolve_workers(config.threads);
-  if (threads > 1 && executor_ == &inline_executor_) {
-    pool_ = std::make_unique<exec::ThreadPoolExecutor>(threads);
-    executor_ = pool_.get();
-  }
-}
-
-void Simulator::bind_parallel_stats(obs::StatsRegistry& registry) {
-  obs_epoch_barriers_ = registry.counter("shard.epoch_barriers");
-  // Re-publish barriers crossed before the registry was attached.
-  obs_epoch_barriers_.inc(epoch_barriers_);
-}
-
-void Simulator::publish_exec_stats(obs::StatsRegistry& registry) const {
-  if (!pool_) return;
-  const exec::ThreadPoolExecutor::Diagnostics d = pool_->diagnostics();
-  registry.counter("exec.batches").inc(d.batches);
-  registry.counter("exec.tasks").inc(d.tasks);
-  registry.counter("exec.chunks").inc(d.chunks);
-  for (std::size_t i = 0; i < d.lane_busy_ms.size(); ++i) {
-    registry.gauge("exec.worker" + std::to_string(i) + ".wall_ms")
-        .set(d.lane_busy_ms[i]);
-  }
-}
-
-void Simulator::run_epoch_barriers(SimTime at) {
-  while (next_epoch_ <= at) {
-    for (const auto& task : epoch_tasks_) task(next_epoch_);
-    ++epoch_barriers_;
-    obs_epoch_barriers_.inc();
-    next_epoch_ = next_epoch_ + epoch_interval_;
-  }
-}
-
-void Simulator::enable_sharding(std::uint32_t shards) {
-  if (shards == 0) {
-    throw std::invalid_argument("enable_sharding: shard count must be >= 1");
-  }
-  if (!extra_shards_.empty()) {
-    throw std::logic_error("enable_sharding: sharding already enabled");
-  }
-  if (events_dispatched() != 0 || queue_depth() != 0 ||
-      now_ != SimTime::zero()) {
-    throw std::logic_error(
-        "enable_sharding must be called before any event is scheduled");
-  }
-  if (shards == 1) return;
-  // One sequence counter across every shard: the merged (time, seq)
-  // dispatch order is then exactly the order a single queue would have
-  // produced, because schedule() calls happen in the same order and draw
-  // the same sequence numbers.
-  scheduler_.share_sequence(&shared_seq_);
-  extra_shards_.reserve(shards - 1);
-  for (std::uint32_t i = 1; i < shards; ++i) {
-    auto s = std::make_unique<Scheduler>();
-    s->share_sequence(&shared_seq_);
-    s->set_profiler(profiler_);
-    extra_shards_.push_back(std::move(s));
-  }
-}
-
-std::uint32_t Simulator::pick_next_shard(SimTime& at) const noexcept {
-  std::uint32_t best = shard_count();
-  SimTime best_at = SimTime::max();
-  std::uint64_t best_seq = 0;
-  SimTime t{};
-  std::uint64_t seq = 0;
-  if (scheduler_.peek_next(t, seq)) {
-    best = 0;
-    best_at = t;
-    best_seq = seq;
-  }
-  for (std::uint32_t i = 0; i < extra_shards_.size(); ++i) {
-    if (!extra_shards_[i]->peek_next(t, seq)) continue;
-    if (t < best_at || (t == best_at && seq < best_seq)) {
-      best = i + 1;
-      best_at = t;
-      best_seq = seq;
-    }
-  }
-  at = best_at;
-  return best;
-}
-
 void Simulator::run() {
   stopped_ = false;
-  if (extra_shards_.empty()) {
-    while (!stopped_ && !scheduler_.empty()) {
-      now_ = scheduler_.next_time();
-      scheduler_.run_one();
-    }
-    return;
+  while (!stopped_ && !scheduler_.empty()) {
+    now_ = scheduler_.next_time();
+    scheduler_.run_one();
   }
-  while (!stopped_) {
-    SimTime at{};
-    const std::uint32_t next = pick_next_shard(at);
-    if (next == shard_count()) break;
-    if (epoch_due(at)) run_epoch_barriers(at);
-    now_ = at;
-    current_shard_ = next;
-    shard(next).run_one();
-  }
-  current_shard_ = 0;
 }
 
 void Simulator::run_until(SimTime until) {
   stopped_ = false;
-  if (extra_shards_.empty()) {
-    while (!stopped_ && !scheduler_.empty() &&
-           scheduler_.next_time() <= until) {
-      now_ = scheduler_.next_time();
-      scheduler_.run_one();
-    }
-    if (!stopped_ && now_ < until) now_ = until;
-    return;
+  while (!stopped_ && !scheduler_.empty() &&
+         scheduler_.next_time() <= until) {
+    now_ = scheduler_.next_time();
+    scheduler_.run_one();
   }
-  while (!stopped_) {
-    SimTime at{};
-    const std::uint32_t next = pick_next_shard(at);
-    if (next == shard_count() || at > until) break;
-    if (epoch_due(at)) run_epoch_barriers(at);
-    now_ = at;
-    current_shard_ = next;
-    shard(next).run_one();
-  }
-  current_shard_ = 0;
   if (!stopped_ && now_ < until) now_ = until;
 }
 

@@ -12,17 +12,13 @@
 namespace cavenet::phy {
 
 namespace {
-/// Indices per chunk for the parallel position-refresh passes: a
-/// position lookup is a binary search plus interpolation, so chunks
-/// this size amortize the claim without starving lanes.
+/// Indices per batched position call: a position lookup is a binary
+/// search plus interpolation, so runs this long amortize the virtual
+/// call while the member/result buffers stay on the stack.
 constexpr std::size_t kRefreshGrain = 256;
-/// Indices per chunk for the receive-power evaluation pass (each index
-/// is a distance + propagation-model evaluation, heavier than a
-/// position lookup).
-constexpr std::size_t kEvalGrain = 64;
-/// Candidate counts below this are cheaper to evaluate serially than to
-/// fan out as a fork-join batch.
-constexpr std::size_t kParallelEvalMin = 128;
+/// Upper bound on the derived strip count, so a degenerate extent (or a
+/// tiny radius) cannot size millions of empty strips.
+constexpr double kMaxStrips = 4096.0;
 }  // namespace
 
 Channel::Attachment::Attachment(Attachment&& other) noexcept
@@ -75,7 +71,6 @@ Channel::Attachment Channel::attach(WifiPhy* phy) {
     min_cs_valid_ = true;
   }
   radius_cache_.reset();
-  snapshot_valid_ = false;
   // Membership churn: strip assignment must be rebuilt before use.
   shards_.invalidate();
   return Attachment(this, slot);
@@ -101,7 +96,6 @@ void Channel::detach_slot(std::uint32_t slot) noexcept {
     min_cs_valid_ = true;
   }
   radius_cache_.reset();
-  snapshot_valid_ = false;
   shards_.invalidate();
 }
 
@@ -112,107 +106,66 @@ void Channel::bind_stats(obs::StatsRegistry& registry) {
 }
 
 void Channel::bind_shard_stats(obs::StatsRegistry& registry) {
-  obs_shard_msgs_ = registry.counter("shard.msgs");
   obs_shard_epochs_ = registry.counter("shard.lbts_epochs");
   obs_shard_refresh_ = registry.counter("shard.refresh.nodes");
   // Re-publish activity from before the registry was attached.
-  obs_shard_msgs_.inc(diag_cross_msgs_);
   obs_shard_epochs_.inc(shards_.epochs());
   obs_shard_refresh_.inc(diag_refreshed_);
 }
 
 void Channel::configure_shards(const ShardPlan& plan) {
-  if (plan.shards == 0) {
-    throw std::invalid_argument("shard plan needs at least one shard");
-  }
-  if (!(plan.epoch_s > 0.0)) {
-    throw std::invalid_argument("shard epoch must be > 0");
-  }
   if (plan.max_speed_mps < 0.0) {
     throw std::invalid_argument("shard max speed must be >= 0");
   }
-  if (plan.shards > 1 && !(plan.x_max > plan.x_min)) {
-    throw std::invalid_argument("shard plan needs a positive x extent");
-  }
-  plan_.reset();
-  strips_ = 0;
-  strips_resolved_ = false;
-  shards_.invalidate();
-  // The kLinear reference deliberately never shards: it exists to be the
-  // brute-force baseline the sharded/grid paths are compared against.
-  if (plan.shards <= 1 || index_ != ChannelIndex::kGrid) return;
   plan_ = plan;
-  if (!epoch_task_registered_) {
-    sim_->register_epoch_task([this](SimTime at) { epoch_prefetch(at); });
-    epoch_task_registered_ = true;
-  }
+  strips_.clear();  // re-resolved at the next transmit
+  shards_.invalidate();
 }
 
-void Channel::epoch_prefetch(SimTime at) {
-  // Dormant until the first radius-bounded transmit resolves the strip
-  // count; a world too narrow to shard leaves this a no-op forever.
-  if (!plan_ || !strips_resolved_ || strips_ <= 1) return;
-  if (shards_.needs_rebucket(at)) rebucket_shards(at);
-}
-
-std::uint32_t Channel::resolve_strips(double radius) {
-  if (strips_resolved_) return strips_;
-  strips_resolved_ = true;
-  strips_ = 1;
-  const double extent = plan_->x_max - plan_->x_min;
-  if (!(extent > 0.0) || !(radius > 0.0)) return strips_;
+void Channel::resolve_strips(const std::optional<double>& radius) {
   // A strip narrower than the interaction radius buys nothing — every
-  // query would touch several strips. Scenarios whose extent holds fewer
-  // than two radius-wide strips are too small to shard and fall back to
-  // one (docs/SCALING.md "Sharding").
-  const double cap = std::floor(extent / radius);
-  const double want = std::min(static_cast<double>(plan_->shards), cap);
-  if (want <= 1.0) return strips_;
-  strips_ = static_cast<std::uint32_t>(want);
-  shards_.configure(strips_, plan_->x_min, plan_->x_max, plan_->epoch_s,
-                    plan_->max_speed_mps);
-  shard_snapshot_time_.assign(strips_, SimTime::zero());
-  shard_snapshot_valid_.assign(strips_, 0);
-  shard_grid_built_.assign(strips_, 0);
-  shard_grids_.assign(strips_, SpatialGrid{});
-  return strips_;
+  // query would touch several strips — so the world holds as many
+  // radius-wide strips as fit its extent (docs/SCALING.md "Channel
+  // strips"). The kLinear reference keeps one: it exists to be the
+  // brute-force baseline the strip path is compared against.
+  double count = 1.0;
+  if (plan_ && radius && *radius > 0.0 && index_ == ChannelIndex::kGrid) {
+    const double cap = std::floor((plan_->x_max - plan_->x_min) / *radius);
+    if (cap > 1.0) count = std::min(cap, kMaxStrips);
+  }
+  const auto strips = static_cast<std::uint32_t>(count);
+  if (strips > 1) {
+    shards_.configure(strips, plan_->x_min, plan_->x_max,
+                      plan_->max_speed_mps);
+  } else {
+    shards_.configure(1, 0.0, 0.0, 0.0);
+  }
+  strips_.assign(strips, Strip{});
 }
 
-void Channel::rebucket_shards(SimTime now) {
-  // One full O(radios) position pass per epoch; between epochs the
+void Channel::rebucket(SimTime now) {
+  // One full O(radios) position pass per rebucket; between rebuckets the
   // per-transmit cost is the touched strips only.
   eval_all_positions(now);
   shards_.rebucket(now, positions_, live_);
-  for (std::uint32_t s = 0; s < strips_; ++s) {
-    shard_snapshot_time_[s] = now;
-    shard_snapshot_valid_[s] = 1;
-    shard_grid_built_[s] = 0;
+  for (Strip& strip : strips_) {
+    strip.snapshot_time = now;
+    strip.grid_built = false;
   }
-  // The global snapshot is fresh too (every live position was just
-  // evaluated at `now`), so an interleaved unsharded transmit can reuse
-  // it.
-  snapshot_time_ = now;
-  snapshot_valid_ = true;
-  grid_built_ = false;
   obs_shard_epochs_.inc();
   obs_shard_refresh_.inc(live_count_);
   diag_refreshed_ += live_count_;
 }
 
-void Channel::refresh_strip(std::uint32_t s, SimTime now, double radius) {
+void Channel::refresh_strip(std::uint32_t s, SimTime now) {
+  Strip& strip = strips_[s];
+  if (strip.snapshot_time == now) return;
   const std::vector<std::uint32_t>& members = shards_.members(s);
-  if (!shard_snapshot_valid_[s] || shard_snapshot_time_[s] != now) {
-    eval_member_positions(now, members);
-    shard_snapshot_time_[s] = now;
-    shard_snapshot_valid_[s] = 1;
-    shard_grid_built_[s] = 0;
-    obs_shard_refresh_.inc(members.size());
-    diag_refreshed_ += members.size();
-  }
-  if (!shard_grid_built_[s]) {
-    shard_grids_[s].rebuild_members(positions_, members, radius);
-    shard_grid_built_[s] = 1;
-  }
+  eval_member_positions(now, members);
+  strip.snapshot_time = now;
+  strip.grid_built = false;
+  obs_shard_refresh_.inc(members.size());
+  diag_refreshed_ += members.size();
 }
 
 std::optional<double> Channel::interaction_radius(double tx_power_w) {
@@ -228,15 +181,9 @@ std::optional<double> Channel::interaction_radius(double tx_power_w) {
 
 void Channel::eval_all_positions(SimTime now) {
   if (batch_count_ == 0) {
-    // Pure per-radio dispatch, fanned across the kernel's executor lanes
-    // (disjoint writes, time-pure reads).
-    sim_->executor().parallel_for(slots_.size(), kRefreshGrain,
-                                  [&](std::size_t i) {
-                                    if (live_[i]) {
-                                      positions_[i] =
-                                          slots_[i]->position_at(now);
-                                    }
-                                  });
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (live_[i]) positions_[i] = slots_[i]->position_at(now);
+    }
     return;
   }
   // Batched dispatch: runs of consecutive live slots sharing a provider
@@ -275,11 +222,9 @@ void Channel::eval_all_positions(SimTime now) {
 void Channel::eval_member_positions(
     SimTime now, std::span<const std::uint32_t> member_slots) {
   if (batch_count_ == 0) {
-    sim_->executor().parallel_for(
-        member_slots.size(), kRefreshGrain, [&](std::size_t i) {
-          const std::uint32_t slot = member_slots[i];
-          positions_[slot] = slots_[slot]->position_at(now);
-        });
+    for (const std::uint32_t slot : member_slots) {
+      positions_[slot] = slots_[slot]->position_at(now);
+    }
     return;
   }
   // Strip members are scattered slots, so gather member ids and scatter
@@ -312,67 +257,32 @@ void Channel::eval_member_positions(
   }
 }
 
-void Channel::refresh_snapshot(const std::optional<double>& radius) {
-  const SimTime now = sim_->now();
-  if (!snapshot_valid_ || snapshot_time_ != now) {
-    eval_all_positions(now);
-    snapshot_time_ = now;
-    snapshot_valid_ = true;
-    grid_built_ = false;
-  }
-  if (radius && index_ == ChannelIndex::kGrid && !grid_built_) {
-    grid_.rebuild(positions_, live_, *radius);
-    grid_built_ = true;
-  }
-}
-
 void Channel::transmit(const WifiPhy& sender, const netsim::Packet& packet,
                        SimTime duration, double tx_power_w) {
   obs_tx_.inc();
   const std::optional<double> radius = interaction_radius(tx_power_w);
   const std::uint32_t sender_slot = sender.channel_slot_;
   const SimTime now = sim_->now();
-
-  // Sharded fast path: only the strips the interaction radius (plus the
-  // drift margin) can reach get their positions refreshed, instead of
-  // the whole snapshot. Resolved lazily because the strip width depends
-  // on the radius.
-  const bool sharded = plan_.has_value() && radius.has_value() &&
-                       resolve_strips(*radius) > 1;
-
-  Vec2 tx_pos{};
-  std::uint32_t tx_strip = 0;
-  if (sharded) {
-    if (shards_.needs_rebucket(now)) rebucket_shards(now);
-    // The sender's position is a pure function of `now`; evaluating it
-    // directly is bit-identical to reading the snapshot the unsharded
-    // path would have refreshed.
-    tx_pos = sender.position();
-    tx_strip = shards_.strip_of_slot(sender_slot);
-  } else {
-    refresh_snapshot(radius);
-    tx_pos = positions_[sender_slot];
-  }
+  if (strips_.empty()) resolve_strips(radius);
+  if (shards_.needs_rebucket(now)) rebucket(now);
+  // The sender's position is a pure function of `now`; evaluating it
+  // directly is bit-identical to reading a refreshed snapshot.
+  const Vec2 tx_pos = sender.position();
   std::uint64_t evaluated = 0;
 
   // Shared per-candidate step: exact distance cull (only when the model
   // bounds range), then the receive-power evaluation and the receiver's
   // own carrier-sense cull, exactly as the full scan always did. The
-  // index (linear / grid / sharded strips) only changes how candidates
+  // candidate search (strips or full scan) only changes how candidates
   // are found — a conservative superset either way — never which ones
-  // survive this exact test, so counters and deliveries are identical
-  // across all three. When `pre` is set the distance and power come from
-  // the parallel phase-1 pass (same arithmetic, same inputs — identical
-  // doubles); the commit below still runs serially in attach order.
-  const auto consider = [&](std::uint32_t slot, const CandidateEval* pre) {
+  // survive this exact test, so counters and deliveries are identical.
+  const auto consider = [&](std::uint32_t slot) {
     const Vec2 rx_pos = positions_[slot];
-    const double d = pre != nullptr ? pre->distance : distance(tx_pos, rx_pos);
+    const double d = distance(tx_pos, rx_pos);
     if (radius && d > *radius) return;
     ++evaluated;
     WifiPhy* rx = slots_[slot];
-    const double power = pre != nullptr
-                             ? pre->power
-                             : model_->rx_power_w(tx_power_w, tx_pos, rx_pos);
+    const double power = model_->rx_power_w(tx_power_w, tx_pos, rx_pos);
     if (power < rx->params().profile.cs_threshold_w) return;
     const double delay_s = d / kSpeedOfLight;
     // The per-receiver copy shares the header stack (COW), so this is a
@@ -385,97 +295,36 @@ void Channel::transmit(const WifiPhy& sender, const netsim::Packet& packet,
     };
     static_assert(sizeof(deliver) <= netsim::detail::InlineAction::kCapacity,
                   "broadcast delivery must stay allocation-free");
-    if (sharded) {
-      // Deliveries land on the receiver's shard queue: a receiver in
-      // another strip makes this a time-stamped inter-shard message.
-      // Routing never changes dispatch order (the shared sequence
-      // counter fixes it globally), only which slab pool holds the
-      // event.
-      const std::uint32_t rx_strip = shards_.strip_of_slot(slot);
-      if (rx_strip != tx_strip) {
-        obs_shard_msgs_.inc();
-        ++diag_cross_msgs_;
-      }
-      const std::uint32_t rx_shard =
-          rx_strip < sim_->shard_count() ? rx_strip : 0;
-      sim_->schedule_on(rx_shard, SimTime::from_seconds(delay_s), "chan",
-                        std::move(deliver));
-    } else {
-      sim_->schedule(SimTime::from_seconds(delay_s), "chan",
-                     std::move(deliver));
-    }
+    sim_->schedule(SimTime::from_seconds(delay_s), "chan", std::move(deliver));
   };
 
-  // Candidate collection: a conservative superset of the in-range
-  // receivers, in ascending slot (attach) order.
-  bool candidates_in_scratch = false;
-  if (sharded) {
+  if (radius && index_ == ChannelIndex::kGrid) {
+    // Only the strips the interaction radius plus the drift margin can
+    // reach get their positions refreshed and their grids queried.
     const double reach = *radius + shards_.margin_at(now);
     const std::uint32_t s0 = shards_.strip_of_x(tx_pos.x - reach);
     const std::uint32_t s1 = shards_.strip_of_x(tx_pos.x + reach);
     scratch_.clear();
     for (std::uint32_t s = s0; s <= s1; ++s) {
-      refresh_strip(s, now, *radius);
-      shard_grids_[s].query(tx_pos, *radius, scratch_);
+      refresh_strip(s, now);
+      Strip& strip = strips_[s];
+      if (!strip.grid_built) {
+        strip.grid.rebuild(positions_, shards_.members(s), *radius);
+        strip.grid_built = true;
+      }
+      strip.grid.query(tx_pos, *radius, scratch_);
     }
     // Each strip's query results are ascending; restore the global
-    // attach order across strips so delivery scheduling matches the
-    // unsharded kernel byte for byte.
+    // attach order across strips so delivery scheduling is the same at
+    // any strip count.
     if (s0 != s1) std::sort(scratch_.begin(), scratch_.end());
-    candidates_in_scratch = true;
-  } else if (radius && index_ == ChannelIndex::kGrid) {
-    scratch_.clear();
-    grid_.query(tx_pos, *radius, scratch_);
-    candidates_in_scratch = true;
-  }
-
-  // Two-phase parallel receive-power evaluation (docs/SCALING.md
-  // "Threading"): phase 1 computes every candidate's (distance, power)
-  // concurrently — pure arithmetic, disjoint writes — and the serial
-  // commit below reads the results in attach order. Only pure models
-  // qualify (a stochastic model's RNG draws must stay serial, in
-  // candidate order).
-  const bool parallel_eval =
-      radius.has_value() && sim_->threads() > 1 && model_->pure() &&
-      (candidates_in_scratch ? scratch_.size() : live_count_) >=
-          kParallelEvalMin;
-  if (parallel_eval && !candidates_in_scratch) {
-    // Linear scan: materialize the live slots so both phases walk the
-    // exact candidate order the serial loop uses.
-    scratch_.clear();
-    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-      if (live_[slot]) scratch_.push_back(slot);
-    }
-    candidates_in_scratch = true;
-  }
-  if (parallel_eval) {
-    eval_scratch_.resize(scratch_.size());
-    sim_->executor().parallel_for(
-        scratch_.size(), kEvalGrain, [&](std::size_t i) {
-          const std::uint32_t slot = scratch_[i];
-          CandidateEval& e = eval_scratch_[i];
-          if (slot == sender_slot) {
-            e.in_range = 0;
-            return;
-          }
-          const Vec2 rx_pos = positions_[slot];
-          e.distance = distance(tx_pos, rx_pos);
-          e.in_range = e.distance <= *radius ? 1 : 0;
-          e.power = e.in_range != 0
-                        ? model_->rx_power_w(tx_power_w, tx_pos, rx_pos)
-                        : 0.0;
-        });
-  }
-
-  if (candidates_in_scratch) {
-    for (std::size_t i = 0; i < scratch_.size(); ++i) {
-      const std::uint32_t slot = scratch_[i];
-      if (slot == sender_slot) continue;
-      consider(slot, parallel_eval ? &eval_scratch_[i] : nullptr);
+    for (const std::uint32_t slot : scratch_) {
+      if (slot != sender_slot) consider(slot);
     }
   } else {
+    for (std::uint32_t s = 0; s < strips_.size(); ++s) refresh_strip(s, now);
     for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-      if (live_[slot] && slot != sender_slot) consider(slot, nullptr);
+      if (live_[slot] && slot != sender_slot) consider(slot);
     }
   }
 

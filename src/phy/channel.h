@@ -2,15 +2,17 @@
 // radios that can interact with it, with per-link propagation loss and
 // speed-of-light delay.
 //
-// Scaling design (docs/SCALING.md): when the propagation model can bound
-// its interaction range (PropagationModel::max_range_m), the channel
-// keeps a per-timestamp snapshot of every radio's position and a uniform
-// grid over that snapshot, and a transmission only evaluates receive
-// power for radios within the max-interaction radius. Receivers beyond
-// it are provably below every radio's carrier-sense threshold, so the
-// grid path is bitwise-identical to a full scan — only cheaper. Models
-// that cannot bound range (shadowing, fading) fall back to evaluating
-// every attached radio, exactly as before.
+// Scaling design (docs/SCALING.md "Channel strips"): when the
+// propagation model can bound its interaction range
+// (PropagationModel::max_range_m), the channel partitions the world's
+// x-extent into strips one interaction radius wide, keeps a per-timestamp
+// position snapshot and a uniform grid per strip, and a transmission only
+// refreshes and queries the strips its radius (plus drift margin) can
+// reach. Receivers beyond the radius are provably below every radio's
+// carrier-sense threshold, so the strip path is bitwise-identical to a
+// full scan — only cheaper. Models that cannot bound range (shadowing,
+// fading) and the kLinear reference fall back to evaluating every
+// attached radio.
 #ifndef CAVENET_PHY_CHANNEL_H
 #define CAVENET_PHY_CHANNEL_H
 
@@ -30,29 +32,24 @@
 namespace cavenet::phy {
 
 /// How the channel finds candidate receivers for a transmission. kGrid is
-/// the default; kLinear is the brute-force reference (same range cull,
-/// same results, same counters — it only walks every radio to apply it)
-/// kept for equivalence testing and for measuring the index's win.
+/// the default (strip snapshots with a grid per strip); kLinear is the
+/// brute-force reference (same range cull, same results, same counters —
+/// it only walks every radio to apply it) kept as the equivalence-test
+/// oracle and for measuring the index's win.
 enum class ChannelIndex { kGrid, kLinear };
 
-/// Spatial sharding plan for the channel (docs/SCALING.md "Sharding").
-/// The world's x-extent is partitioned into up to `shards` strips; each
-/// transmission only refreshes the position snapshot and spatial grid of
-/// the strips its interaction radius (plus drift margin) can reach, so
-/// the per-transmit snapshot cost drops from O(radios) to
-/// O(radios/shards). `max_speed_mps` must be a true bound on every
-/// radio's speed for the whole run — the scenario layer certifies it
-/// from the mobility trace and refuses to shard traces with mid-run
-/// teleports; ShardMap re-verifies it every epoch and throws on
-/// violation. Results are bitwise-identical to the unsharded kernel: the
-/// candidate superset changes, the evaluated set and event order never
-/// do.
+/// What the channel needs to split the world into strips, all derived by
+/// the scenario from the mobility trace: the x-extent every position the
+/// trace can visit lies in, and `max_speed_mps`, a true bound on every
+/// radio's speed for the whole run (the drift bound of the strips' stale
+/// membership; ShardMap re-verifies it every rebucket and throws on
+/// violation). The strip count is not configurable: it is
+/// floor(extent / interaction radius), at least one. Results are
+/// bitwise-identical at any strip count: the candidate superset changes,
+/// the evaluated set and event order never do.
 struct ShardPlan {
-  std::uint32_t shards = 1;
   double x_min = 0.0;
   double x_max = 0.0;
-  /// Membership rebucket period in simulation seconds (the LBTS epoch).
-  double epoch_s = 1.0;
   double max_speed_mps = 0.0;
 };
 
@@ -103,10 +100,12 @@ class Channel {
   /// attached radio that can interact with it (each gets an independent
   /// copy).
   ///
-  /// Cost per call: with a range-bounded model, O(radios) position
-  /// evaluations once per distinct simulation timestamp (the snapshot)
-  /// plus O(neighbours within the max-interaction radius) receive-power
-  /// evaluations and events; the kLinear fallback and unbounded models
+  /// Cost per call: with a range-bounded model, position evaluations for
+  /// the members of the (at most a few) strips the radius reaches, once
+  /// per distinct simulation timestamp, plus O(neighbours within the
+  /// max-interaction radius) receive-power evaluations and events; with
+  /// one strip the refresh is O(radios). The kLinear fallback and
+  /// unbounded models
   /// pay O(radios) per call (every radio distance- or power-evaluated),
   /// though events stay O(neighbours) either way.
   void transmit(const WifiPhy& sender, const netsim::Packet& packet,
@@ -116,37 +115,24 @@ class Channel {
   /// callers that mutate a mobility model's position out-of-band at the
   /// current timestamp (test harnesses teleporting nodes mid-event);
   /// positions that are pure functions of simulation time never need it.
-  void invalidate_positions() noexcept {
-    snapshot_valid_ = false;
-    shards_.invalidate();
-    for (auto& v : shard_snapshot_valid_) v = 0;
-  }
+  void invalidate_positions() noexcept { shards_.invalidate(); }
 
-  /// Installs a spatial sharding plan (see ShardPlan). Call before the
-  /// run; plan.shards == 1 keeps the channel unsharded. The effective
-  /// strip count is resolved lazily against the interaction radius —
-  /// a world narrower than `shards` strips of one radius falls back to
-  /// fewer strips (possibly one). Requires a grid-indexed channel; the
-  /// kLinear reference and unbounded models simply never shard.
-  ///
-  /// Also registers the channel's epoch-barrier prefetch with the
-  /// simulator: when the kernel runs under enable_parallel, shard
-  /// membership rebuckets happen at the dispatcher's epoch barriers (on
-  /// every executor lane) instead of inside the first transmit past the
-  /// epoch — referentially transparent precompute, so outputs are
-  /// unchanged at any thread count.
+  /// Installs the world's strip plan (see ShardPlan). Call before the
+  /// run. Without a plan, with the kLinear reference, or with a
+  /// range-unbounded model the channel keeps one strip. The strip count
+  /// is resolved at the first transmit, against its interaction radius.
   void configure_shards(const ShardPlan& plan);
 
-  /// Observed sharding state, for tests and the bench harness.
+  /// Observed strip state, for tests and the bench harness.
   struct ShardDiagnostics {
-    /// Resolved strip count (1 = sharding dormant; 0 = not yet resolved).
+    /// Resolved strip count (0 = not yet resolved).
     std::uint32_t strips = 0;
-    std::uint64_t epochs = 0;       ///< membership rebuckets (LBTS epochs)
-    std::uint64_t cross_msgs = 0;   ///< cross-shard deliveries
-    std::uint64_t refreshed = 0;    ///< per-strip position refreshes (nodes)
+    std::uint64_t epochs = 0;     ///< membership rebuckets
+    std::uint64_t refreshed = 0;  ///< per-strip position refreshes (nodes)
   };
   ShardDiagnostics shard_diagnostics() const noexcept {
-    return {strips_, shards_.epochs(), diag_cross_msgs_, diag_refreshed_};
+    return {static_cast<std::uint32_t>(strips_.size()), shards_.epochs(),
+            diag_refreshed_};
   }
 
   PropagationModel& propagation() noexcept { return *model_; }
@@ -161,11 +147,10 @@ class Channel {
   /// which ones are evaluated.
   void bind_stats(obs::StatsRegistry& registry);
 
-  /// Binds the sharding counters: "shard.msgs" cross-shard deliveries,
-  /// "shard.lbts_epochs" membership rebuckets, "shard.refresh.nodes"
-  /// per-strip position refreshes. Opt-in and separate from bind_stats:
-  /// the scenario runners do not bind these, so a sharded run's stats
-  /// snapshot stays byte-identical to the unsharded kernel's.
+  /// Binds the strip counters: "shard.lbts_epochs" membership
+  /// rebuckets, "shard.refresh.nodes" per-strip position refreshes.
+  /// Opt-in and separate from bind_stats: the scenario runners do not
+  /// bind these, so a run's stats snapshot is the same at any strip count.
   void bind_shard_stats(obs::StatsRegistry& registry);
 
  private:
@@ -173,31 +158,22 @@ class Channel {
   /// Max-interaction radius for this transmit power against the most
   /// sensitive attached radio; nullopt when the model can't bound range.
   std::optional<double> interaction_radius(double tx_power_w);
-  /// Ensures positions_ holds every live radio's position at sim->now(),
-  /// and (when `radius` is set and the grid is active) that the grid is
-  /// built over that snapshot.
-  void refresh_snapshot(const std::optional<double>& radius);
-  /// Resolves the effective strip count against the first seen radius
-  /// (how many radius-wide strips fit the extent) and sizes the
-  /// per-strip state. Returns strips_; > 1 means sharding is active.
-  std::uint32_t resolve_strips(double radius);
-  /// Re-evaluates every live position (at `now`, across executor lanes)
-  /// and rebuilds strip membership.
-  void rebucket_shards(SimTime now);
+  /// Sizes the strip state: floor(extent / radius) strips when a plan,
+  /// a grid index and a bounded `radius` allow it, else one.
+  void resolve_strips(const std::optional<double>& radius);
+  /// Re-evaluates every live position at `now` and rebuilds strip
+  /// membership (churn, invalidation, or a multi-strip epoch).
+  void rebucket(SimTime now);
   /// Evaluates every live radio's position at `now` into positions_.
   /// Slots whose mobility model exposes a BatchMobilityProvider are
   /// served in bulk (one virtual call per run of consecutive same-
   /// provider slots) instead of per-radio virtual dispatch.
   void eval_all_positions(SimTime now);
-  /// Same, for an explicit slot list (a shard strip's members).
+  /// Same, for an explicit slot list (a strip's members).
   void eval_member_positions(SimTime now,
                              std::span<const std::uint32_t> member_slots);
-  /// Ensures strip `s`'s members have fresh positions at `now` and its
-  /// grid is built over them.
-  void refresh_strip(std::uint32_t s, SimTime now, double radius);
-  /// Epoch-barrier task: rebuckets shard membership at the barrier time
-  /// when due (registered with the simulator by configure_shards).
-  void epoch_prefetch(SimTime at);
+  /// Ensures strip `s`'s members have fresh positions at `now`.
+  void refresh_strip(std::uint32_t s, SimTime now);
 
   netsim::Simulator* sim_;
   std::unique_ptr<PropagationModel> model_;
@@ -219,25 +195,7 @@ class Channel {
   std::vector<std::uint32_t> batch_member_;
   std::size_t batch_count_ = 0;  ///< live slots with a provider
 
-  SimTime snapshot_time_ = SimTime::zero();
-  bool snapshot_valid_ = false;
-  bool grid_built_ = false;
-  SpatialGrid grid_;
   std::vector<std::uint32_t> scratch_;  ///< query results, reused
-
-  /// Phase-1 output of the two-phase parallel receive-power pass,
-  /// parallel to scratch_. With a pure range-bounded model and an
-  /// executor wider than one lane, the (distance, power) arithmetic for
-  /// every candidate runs concurrently into this buffer; the serial
-  /// commit pass then walks candidates in attach order reading the
-  /// precomputed values — same functions, same inputs, so the delivered
-  /// set and every counter stay bitwise-identical to the serial path.
-  struct CandidateEval {
-    double distance = 0.0;
-    double power = 0.0;
-    std::uint8_t in_range = 0;
-  };
-  std::vector<CandidateEval> eval_scratch_;
 
   /// Smallest carrier-sense threshold over attached radios — the radius
   /// bound must cover the most sensitive receiver.
@@ -251,22 +209,20 @@ class Channel {
   obs::Counter obs_evaluated_;  ///< chan.evaluated
   obs::Counter obs_culled_;     ///< chan.culled
 
-  // --- spatial sharding (configure_shards) ---
+  // --- strips (configure_shards) ---
   std::optional<ShardPlan> plan_;
-  bool epoch_task_registered_ = false;
   ShardMap shards_;
-  /// Resolved strip count; 0 until the first radius-bounded transmit.
-  std::uint32_t strips_ = 0;
-  bool strips_resolved_ = false;
-  /// Per-strip snapshot freshness and grids, parallel to strips.
-  std::vector<SimTime> shard_snapshot_time_;
-  std::vector<std::uint8_t> shard_snapshot_valid_;
-  std::vector<std::uint8_t> shard_grid_built_;
-  std::vector<SpatialGrid> shard_grids_;
+  /// Per-strip snapshot time and grid; empty until the first transmit
+  /// resolves the strip count. Every membership rebucket refreshes all
+  /// strips, so a strip's snapshot is valid once its time is `now`.
+  struct Strip {
+    SimTime snapshot_time = SimTime::zero();
+    bool grid_built = false;
+    SpatialGrid grid;
+  };
+  std::vector<Strip> strips_;
 
-  std::uint64_t diag_cross_msgs_ = 0;
   std::uint64_t diag_refreshed_ = 0;
-  obs::Counter obs_shard_msgs_;     ///< shard.msgs
   obs::Counter obs_shard_epochs_;   ///< shard.lbts_epochs
   obs::Counter obs_shard_refresh_;  ///< shard.refresh.nodes
 };

@@ -53,14 +53,6 @@ class PropagationModel {
     (void)min_power_w;
     return std::nullopt;
   }
-
-  /// True when rx_power_w is a pure function of its arguments — no RNG
-  /// draw, no mutable state — so the channel may evaluate receive power
-  /// for many candidate receivers concurrently (docs/SCALING.md
-  /// "Threading"). Stochastic models must return false: their per-query
-  /// RNG draws have to happen serially, in candidate order, to keep the
-  /// stream deterministic.
-  virtual bool pure() const noexcept { return false; }
 };
 
 /// Friis free-space: Pr = Pt Gt Gr lambda^2 / ((4 pi d)^2 L).
@@ -70,7 +62,6 @@ class FreeSpaceModel final : public PropagationModel {
   double rx_power_w(double tx_power_w, Vec2 tx, Vec2 rx) override;
   std::optional<double> max_range_m(double tx_power_w,
                                     double min_power_w) const override;
-  bool pure() const noexcept override { return true; }
 
  private:
   RadioConstants constants_;
@@ -84,7 +75,6 @@ class TwoRayGroundModel final : public PropagationModel {
   double rx_power_w(double tx_power_w, Vec2 tx, Vec2 rx) override;
   std::optional<double> max_range_m(double tx_power_w,
                                     double min_power_w) const override;
-  bool pure() const noexcept override { return true; }
 
   double crossover_distance_m() const noexcept { return crossover_m_; }
 

@@ -7,15 +7,12 @@
 namespace cavenet::phy {
 
 void ShardMap::configure(std::uint32_t strips, double x_min, double x_max,
-                         double epoch_s, double max_speed_mps) {
+                         double max_speed_mps) {
   if (strips == 0) {
     throw std::invalid_argument("shard map needs at least one strip");
   }
   if (!(x_max > x_min) && strips > 1) {
     throw std::invalid_argument("shard map extent must be positive");
-  }
-  if (!(epoch_s > 0.0)) {
-    throw std::invalid_argument("shard epoch must be > 0");
   }
   if (max_speed_mps < 0.0) {
     throw std::invalid_argument("max speed must be >= 0");
@@ -23,7 +20,6 @@ void ShardMap::configure(std::uint32_t strips, double x_min, double x_max,
   strips_ = strips;
   x_min_ = x_min;
   strip_width_ = strips > 1 ? (x_max - x_min) / strips : 0.0;
-  epoch_s_ = epoch_s;
   max_speed_mps_ = max_speed_mps;
   members_.assign(strips, {});
   strip_of_slot_.clear();
@@ -47,7 +43,8 @@ void ShardMap::rebucket(SimTime now, std::span<const Vec2> positions,
   // piecewise-linear position interpolation.
   const double bound =
       valid_ ? max_speed_mps_ * (now - last_rebucket_).sec() + 1e-6 : 0.0;
-  const bool verify = valid_ && anchors_.size() == positions.size();
+  const bool verify =
+      valid_ && strips_ > 1 && anchors_.size() == positions.size();
   for (auto& m : members_) m.clear();
   strip_of_slot_.assign(positions.size(), kNoStrip);
   for (std::uint32_t slot = 0; slot < positions.size(); ++slot) {
@@ -59,13 +56,14 @@ void ShardMap::rebucket(SimTime now, std::span<const Vec2> positions,
           std::to_string(distance(positions[slot], anchors_[slot])) +
           " m > bound " + std::to_string(bound) +
           " m — mobility moved faster than the certified max speed "
-          "(teleport?); the scenario layer must fall back to one shard");
+          "(teleport?); the scenario layer must keep such traces on one "
+          "strip");
     }
     const std::uint32_t strip = strip_of_x(positions[slot].x);
     strip_of_slot_[slot] = strip;
     members_[strip].push_back(slot);
   }
-  anchors_.assign(positions.begin(), positions.end());
+  if (strips_ > 1) anchors_.assign(positions.begin(), positions.end());
   last_rebucket_ = now;
   valid_ = true;
   ++epochs_;

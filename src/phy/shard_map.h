@@ -1,8 +1,9 @@
-// Strip partition of the world for the sharded channel.
+// Strip partition of the world for the channel's candidate search.
 //
 // The world's x-extent is split into `strips` equal-width strips; every
 // attached radio belongs to the strip containing its position at the
-// last rebucket epoch. Between epochs membership is allowed to go stale:
+// last rebucket, which happens every kEpochS of simulation time. Between
+// epochs membership is allowed to go stale:
 // a radio certified to move at most `max_speed_mps` can have drifted at
 // most max_speed * elapsed from its bucketed position, so a query that
 // pads its x-range by that margin (see margin_at) still reaches every
@@ -11,9 +12,11 @@
 // evaluated lazily instead of with explicit null messages.
 //
 // The speed bound is certified by the caller (the scenario layer derives
-// it from the mobility trace and refuses to shard traces with mid-run
-// teleports); rebucket() re-verifies it against the observed per-epoch
+// it from the mobility trace and keeps traces with mid-run teleports on
+// one strip); rebucket() re-verifies it against the observed per-epoch
 // displacement and throws on violation rather than silently diverging.
+// A single strip holds every live radio whatever it does, so it has no
+// epoch and no drift certificate: it rebuckets only after invalidate().
 #ifndef CAVENET_PHY_SHARD_MAP_H
 #define CAVENET_PHY_SHARD_MAP_H
 
@@ -29,12 +32,13 @@ namespace cavenet::phy {
 class ShardMap {
  public:
   static constexpr std::uint32_t kNoStrip = 0xFFFFFFFFu;
+  /// Membership rebucket period in simulation seconds (multi-strip maps).
+  static constexpr double kEpochS = 1.0;
 
   /// Fixes the partition: `strips` >= 1 equal strips over [x_min, x_max],
-  /// rebucketed every `epoch_s` of simulation time, with `max_speed_mps`
-  /// as the certified drift bound.
+  /// with `max_speed_mps` as the certified drift bound.
   void configure(std::uint32_t strips, double x_min, double x_max,
-                 double epoch_s, double max_speed_mps);
+                 double max_speed_mps);
 
   std::uint32_t strips() const noexcept { return strips_; }
   bool configured() const noexcept { return strips_ > 0; }
@@ -53,9 +57,11 @@ class ShardMap {
   }
 
   /// True when membership must be rebuilt before use: never bucketed,
-  /// invalidated by churn, or the epoch has elapsed.
+  /// invalidated by churn, or (with several strips) the epoch has
+  /// elapsed.
   bool needs_rebucket(SimTime now) const noexcept {
-    return !valid_ || (now - last_rebucket_).sec() >= epoch_s_;
+    return !valid_ ||
+           (strips_ > 1 && (now - last_rebucket_).sec() >= kEpochS);
   }
 
   /// How far any radio may have strayed from its bucketed position by
@@ -71,8 +77,9 @@ class ShardMap {
 
   /// Rebuckets every slot with live[slot] != 0 at positions[slot],
   /// verifying the certified speed bound against the displacement since
-  /// the previous epoch (throws std::logic_error on violation). Member
-  /// lists come out in ascending slot order.
+  /// the previous epoch when there are several strips (throws
+  /// std::logic_error on violation). Member lists come out in ascending
+  /// slot order.
   void rebucket(SimTime now, std::span<const Vec2> positions,
                 std::span<const std::uint8_t> live);
 
@@ -82,7 +89,6 @@ class ShardMap {
   std::uint32_t strips_ = 0;
   double x_min_ = 0.0;
   double strip_width_ = 0.0;
-  double epoch_s_ = 1.0;
   double max_speed_mps_ = 0.0;
 
   bool valid_ = false;

@@ -24,28 +24,8 @@ std::int64_t SpatialGrid::cell_coord(double v) const noexcept {
 }
 
 void SpatialGrid::rebuild(std::span<const Vec2> positions,
-                          std::span<const std::uint8_t> present,
+                          std::span<const std::uint32_t> members,
                           double cell_size) {
-  if (!(cell_size > 0.0)) {
-    throw std::invalid_argument("spatial grid cell size must be > 0");
-  }
-  if (positions.size() != present.size()) {
-    throw std::invalid_argument("positions/present size mismatch");
-  }
-  cell_size_ = cell_size;
-  entries_.clear();
-  entries_.reserve(positions.size());
-  for (std::uint32_t i = 0; i < positions.size(); ++i) {
-    if (!present[i]) continue;
-    entries_.emplace_back(
-        pack_cell(cell_coord(positions[i].x), cell_coord(positions[i].y)), i);
-  }
-  std::sort(entries_.begin(), entries_.end());
-}
-
-void SpatialGrid::rebuild_members(std::span<const Vec2> positions,
-                                  std::span<const std::uint32_t> members,
-                                  double cell_size) {
   if (!(cell_size > 0.0)) {
     throw std::invalid_argument("spatial grid cell size must be > 0");
   }

@@ -25,19 +25,13 @@ namespace cavenet::phy {
 
 class SpatialGrid {
  public:
-  /// Rebuckets point i at positions[i] for every i with present[i] != 0.
-  /// `cell_size` (> 0) is normally the max-interaction radius, making a
-  /// radius query touch at most 3x3 cells.
-  void rebuild(std::span<const Vec2> positions,
-               std::span<const std::uint8_t> present, double cell_size);
-
   /// Rebuckets exactly the points named in `members` (indices into
-  /// `positions`). The shard-partitioned channel keeps one grid per
-  /// shard over that shard's member list, so a rebuild costs O(members)
-  /// instead of O(all radios).
-  void rebuild_members(std::span<const Vec2> positions,
-                       std::span<const std::uint32_t> members,
-                       double cell_size);
+  /// `positions`). The channel keeps one grid per strip over that strip's
+  /// member list, so a rebuild costs O(members) instead of O(all
+  /// radios). `cell_size` (> 0) is normally the max-interaction radius,
+  /// making a radius query touch at most 3x3 cells.
+  void rebuild(std::span<const Vec2> positions,
+               std::span<const std::uint32_t> members, double cell_size);
 
   /// Appends to `out` the indices of all bucketed points whose cell
   /// overlaps the axis-aligned bounding box of circle(center, radius) —

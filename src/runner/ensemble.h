@@ -57,9 +57,7 @@ struct EnsembleOptions {
   std::uint64_t master_seed = 1;
   std::uint64_t rng_stream = 0x656e73;  // "ens"
   /// Shared execution pool to schedule replications on instead of a
-  /// runner-owned one (non-owning; must outlive the runner). Campaign
-  /// point scheduling and the kernel's threaded shard dispatch can ride
-  /// one pool this way.
+  /// runner-owned one (non-owning; must outlive the runner).
   Executor* executor = nullptr;
 };
 

@@ -1,10 +1,9 @@
 // The runner-facing name of the shared execution-pool abstraction.
 //
 // EnsembleRunner schedules campaign points and figure replications on a
-// runner::Executor; the simulation kernel's threaded shard dispatch
-// (netsim/parallel.h) runs on the same interface. Both resolve to
-// cavenet::exec (util/executor.h) — one pool seam, which is also where
-// ROADMAP item 4's multi-machine job server plugs in.
+// runner::Executor, cavenet-serve its worker lanes. Both resolve to
+// cavenet::exec (util/executor.h) — one pool seam, which is also where a
+// multi-machine job server would plug in.
 #ifndef CAVENET_RUNNER_EXECUTOR_H
 #define CAVENET_RUNNER_EXECUTOR_H
 

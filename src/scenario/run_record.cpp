@@ -27,10 +27,6 @@ obs::RunManifest make_run_manifest(std::string name,
   m.set_param("traffic_stop_s", config.traffic_stop_s);
   m.set_param("mac_rate_bps", config.mac_rate_bps);
   m.set_param("use_rts_cts", config.use_rts_cts);
-  // Executor lanes the run was produced with. A performance setting, not
-  // scenario identity — strip_volatile() removes it so stripped
-  // manifests stay byte-identical across --threads values.
-  m.set_param("threads", static_cast<std::int64_t>(config.parallel.threads));
 
   double tx = 0.0, rx = 0.0;
   for (const SenderRunResult& r : results) {

@@ -32,7 +32,6 @@ ScaleRunResult run_scale(const ScaleConfig& config) {
   table.duration_s = config.duration_s;
   table.seed = config.seed;
   table.channel_index = config.channel_index;
-  table.parallel = config.parallel;
   table.obs = config.obs;
 
   // The sweep's whole point is measuring channel and kernel cost, so
@@ -52,8 +51,6 @@ ScaleRunResult run_scale(const ScaleConfig& config) {
   ScaleRunResult result;
   result.vehicles = config.vehicles;
   result.protocol = config.protocol;
-  result.shards = config.parallel.shards;
-  result.threads = config.parallel.threads;
   result.flow = std::move(flow);
   result.stats = table.obs.stats->snapshot();
   result.transmissions = result.stats.counter("chan.tx");

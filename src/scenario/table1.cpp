@@ -72,16 +72,14 @@ std::unique_ptr<phy::PropagationModel> make_propagation(
   throw std::invalid_argument("unknown propagation model");
 }
 
-/// Derives the channel's sharding plan from the mobility trace: the
+/// Derives the channel's strip plan from the mobility trace: the
 /// x-extent over every position the trace can visit, plus the certified
-/// max speed over all setdest events (the drift bound the shard map's
-/// conservative lookahead rests on). Returns nullopt — run unsharded —
-/// when config doesn't ask for shards, when the trace teleports nodes
-/// mid-run (the straight-line layout's lane-wrap jumps violate any speed
-/// bound), or when the trace has no x extent at all.
+/// max speed over all setdest events (the drift bound the strips'
+/// conservative lookahead rests on). Returns nullopt — one strip — when
+/// the trace teleports nodes mid-run (the straight-line layout's
+/// lane-wrap jumps violate any speed bound) or has no x extent at all.
 std::optional<phy::ShardPlan> make_shard_plan(
-    const trace::MobilityTrace& mobility, const TableIConfig& config) {
-  if (config.parallel.shards <= 1) return std::nullopt;
+    const trace::MobilityTrace& mobility) {
   double x_min = std::numeric_limits<double>::infinity();
   double x_max = -std::numeric_limits<double>::infinity();
   double max_speed = 0.0;
@@ -100,13 +98,7 @@ std::optional<phy::ShardPlan> make_shard_plan(
     }
   }
   if (!(x_max > x_min)) return std::nullopt;
-  phy::ShardPlan plan;
-  plan.shards = static_cast<std::uint32_t>(config.parallel.shards);
-  plan.x_min = x_min;
-  plan.x_max = x_max;
-  plan.epoch_s = config.parallel.epoch_s;
-  plan.max_speed_mps = max_speed;
-  return plan;
+  return phy::ShardPlan{x_min, x_max, max_speed};
 }
 
 /// Bulk position source over the compiled per-node paths: the channel's
@@ -176,20 +168,7 @@ std::vector<SenderRunResult> run_with_trace(
   if (config.telemetry.enabled() && obs.stats == nullptr) {
     obs.stats = &local_stats;
   }
-  // Parallelism is wired before anything schedules: the shard queues
-  // must exist from event zero so the shared sequence counter covers
-  // every event of the run. The plan may have demoted shards (teleports,
-  // narrow world), so the kernel gets the resolved count, not the
-  // requested one.
-  const std::optional<phy::ShardPlan> shard_plan =
-      make_shard_plan(mobility, config);
   netsim::Simulator sim(config.seed);
-  {
-    netsim::ParallelConfig kernel_parallel = config.parallel;
-    kernel_parallel.shards =
-        shard_plan ? static_cast<int>(shard_plan->shards) : 1;
-    if (kernel_parallel.enabled()) sim.enable_parallel(kernel_parallel);
-  }
   if (obs.trace_sink != nullptr) sim.set_trace_sink(obs.trace_sink);
   if (obs.profiler != nullptr) sim.set_profiler(obs.profiler);
   if (config.heartbeat_s > 0.0) {
@@ -200,7 +179,9 @@ std::vector<SenderRunResult> run_with_trace(
   }
   phy::Channel channel(sim, make_propagation(config, sim),
                        config.channel_index);
-  if (shard_plan) channel.configure_shards(*shard_plan);
+  if (const auto plan = make_shard_plan(mobility)) {
+    channel.configure_shards(*plan);
+  }
   if (obs.stats != nullptr) channel.bind_stats(*obs.stats);
 
   mac::MacParams mac_params;
@@ -267,6 +248,7 @@ std::vector<SenderRunResult> run_with_trace(
   // Network-wide aggregates are shared by every per-sender entry.
   SenderRunResult aggregate;
   aggregate.events_dispatched = sim.events_dispatched();
+  aggregate.channel_strips = channel.shard_diagnostics().strips;
   const routing::RoutingStats& receiver_stats =
       nodes[config.receiver].routing->stats();
   if (receiver_stats.data_delivered > 0) {

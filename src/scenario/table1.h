@@ -15,7 +15,6 @@
 
 #include "app/flow_metrics.h"
 #include "mac/wifi_mac.h"
-#include "netsim/parallel.h"
 #include "obs/telemetry.h"
 #include "phy/channel.h"
 #include "phy/wifi_phy.h"
@@ -56,16 +55,6 @@ struct TableIConfig {
   // Simulation.
   double duration_s = 100.0;
   std::uint64_t seed = 1;
-  /// Kernel parallelism (docs/SCALING.md): `parallel.shards` partitions
-  /// the world into up to that many strips, each with its own scheduler
-  /// pool and channel snapshot; `parallel.threads` adds executor lanes
-  /// for epoch-batched precompute; `parallel.epoch_s` is the rebucket /
-  /// barrier cadence. Results are byte-identical at every (shards,
-  /// threads) pair. The run falls back to one shard when the trace
-  /// cannot certify a max speed (mid-run teleports, e.g. the
-  /// straight-line layout's lane-wrap jumps) or the world is too small
-  /// to hold two interaction-radius-wide strips.
-  netsim::ParallelConfig parallel;
 
   // Radio.
   /// MAC data rate (Table I: 2 Mbps). The PLCP preamble stays at the DSSS
@@ -119,6 +108,10 @@ struct SenderRunResult {
   std::uint64_t mac_retries = 0;
   std::uint64_t mac_tx_failed = 0;
   std::uint64_t events_dispatched = 0;
+  /// Strips the channel split the world into (docs/SCALING.md "Channel
+  /// strips"): floor(x-extent / interaction radius), 1 for traces with
+  /// mid-run teleports, for kLinear and for range-unbounded models.
+  std::uint32_t channel_strips = 0;
   /// Fraction of the run's wall-clock the channel carried transmissions
   /// (sum of per-node TX airtime / duration; can exceed 1 with spatial
   /// reuse or simultaneous/colliding transmitters).

@@ -659,16 +659,20 @@ HttpResponse JobService::handle(const HttpRequest& request) {
     auto offset = std::make_shared<std::size_t>(0);
     response.content_type = "application/jsonl";
     response.chunks = [this, job, offset, follow](std::string* chunk) {
+      // Read the terminal flag before the snapshot: a job finalizes (last
+      // progress lines included) under mutex_, so a snapshot taken after
+      // seeing it terminal holds every line, and the stream ends only
+      // once such a snapshot has nothing new.
+      bool done;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        done = terminal(job->state) || stopped_;
+      }
       const std::string text = job->progress ? job->progress->jsonl() : "";
       if (*offset < text.size()) {
         *chunk = text.substr(*offset);
         *offset = text.size();
         return true;
-      }
-      bool done;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        done = terminal(job->state) || stopped_;
       }
       if (done || !follow) return false;
       std::this_thread::sleep_for(std::chrono::milliseconds(50));

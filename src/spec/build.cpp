@@ -1,12 +1,10 @@
 #include "spec/build.h"
 
 #include <cmath>
-#include <memory>
 #include <utility>
 
 #include "core/grid_road.h"
 #include "trace/trace_generator.h"
-#include "util/executor.h"
 
 namespace cavenet::spec {
 
@@ -43,14 +41,6 @@ trace::MobilityTrace build_trace(const ScenarioSpec& spec) {
     trace::TraceGeneratorOptions options;
     options.steps = spec.grid_trace_steps;
     options.pre_step = [&grid](ca::Road& road) { grid.apply_signals(road); };
-    // A grid road is many independent lanes; fan their steps across the
-    // scenario's executor lanes. The trace is identical at any count.
-    std::unique_ptr<exec::ThreadPoolExecutor> pool;
-    if (spec.config.parallel.threads != 1) {
-      pool = std::make_unique<exec::ThreadPoolExecutor>(
-          spec.config.parallel.threads);
-      options.executor = pool.get();
-    }
     return trace::generate_trace(grid.road(), options);
   }
   trace::MobilityTrace mobility = scenario::make_table1_trace(spec.config);

@@ -14,17 +14,6 @@
 namespace cavenet::spec {
 
 int run_spec(const CampaignSpec& spec, const RunOptions& options) {
-  // --threads overrides the spec's engine.parallel.threads for every run
-  // this invocation dispatches (campaign points inherit the scenario
-  // config). Results are byte-identical either way; only wall time moves.
-  if (options.threads != 0 &&
-      spec.scenario.config.parallel.threads != options.threads) {
-    CampaignSpec adjusted = spec;
-    adjusted.scenario.config.parallel.threads = options.threads;
-    RunOptions inner = options;
-    inner.threads = 0;
-    return run_spec(adjusted, inner);
-  }
   if (!options.output_dir.empty()) {
     std::filesystem::create_directories(options.output_dir);
   }
@@ -72,7 +61,6 @@ int bench_spec_main(const std::string& path, int argc,
     RunOptions options;
     options.jobs =
         runner::resolve_jobs(static_cast<int>(args.get_int("jobs", 1)));
-    options.threads = static_cast<int>(args.get_int("threads", 0));
     args.reject_unknown_flags();
     return run_spec_file(path, options);
   } catch (const std::exception& e) {

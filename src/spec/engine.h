@@ -11,12 +11,6 @@ namespace cavenet::spec {
 
 struct RunOptions {
   int jobs = 1;             ///< ensemble workers; <= 0 = hardware threads
-  /// Kernel executor lanes per run: overrides the spec's
-  /// engine.parallel.threads when != 0 (<= -1 and explicit 0 both mean
-  /// "hardware threads" at the kernel; 0 here means "keep the spec's
-  /// value"). A pure performance knob — outputs are byte-identical at
-  /// any value.
-  int threads = 0;
   bool resume = false;      ///< campaigns: trust matching checkpoints
   std::string output_dir;   ///< artifact prefix ("" = cwd)
   /// Campaigns: stream per-point lifecycle events and heartbeats to
@@ -32,10 +26,9 @@ int run_spec(const CampaignSpec& spec, const RunOptions& options);
 /// load_campaign_file + run_spec.
 int run_spec_file(const std::string& path, const RunOptions& options);
 
-/// Shared main for the migrated bench binaries: parses `--jobs N` and
-/// `--threads N` (the only flags; typos abort with a did-you-mean
-/// diagnostic), runs the spec at `path`, and reports any failure on
-/// stderr. Returns the exit code.
+/// Shared main for the migrated bench binaries: parses `--jobs N` (the
+/// only flag; typos abort with a did-you-mean diagnostic), runs the spec
+/// at `path`, and reports any failure on stderr. Returns the exit code.
 int bench_spec_main(const std::string& path, int argc,
                     const char* const* argv);
 

@@ -434,54 +434,32 @@ ScenarioSpec parse_scenario(const obs::JsonValue& value,
   }
   if (const obs::JsonValue* v = r.find("engine")) {
     ObjectReader er(*v, r.member_path("engine"));
-    // Kernel parallelism (docs/SCALING.md); results are byte-identical
-    // at any (shards, threads) pair, so the whole block is a pure
-    // performance knob and never part of the scenario's identity.
-    netsim::ParallelConfig& par = config.parallel;
-    const bool has_block = er.has("parallel");
-    if (has_block) {
-      ObjectReader pr(*er.find("parallel"), er.member_path("parallel"));
-      par.shards = static_cast<int>(pr.get_int("shards", par.shards, 1, 4096));
-      // 0 = one executor lane per hardware thread.
-      par.threads =
-          static_cast<int>(pr.get_int("threads", par.threads, 0, 4096));
-      par.epoch_s = pr.get_double("epoch_s", par.epoch_s, 1e-9, kInf);
-      pr.finish();
-    }
-    // Legacy flat keys, kept as validated aliases of engine.parallel.*
-    // so checked-in specs keep parsing. Mixing a legacy key with the
-    // parallel block is ambiguous and rejected; each use warns with the
-    // modern spelling.
-    const auto deprecated = [&](const std::string& key,
-                                const char* modern) {
+    // The kernel has no parallelism settings any more: one event queue,
+    // and a strip count the channel derives from the world
+    // (docs/SCALING.md "Channel strips"). The old keys still parse, are
+    // range-checked as before so a spec that was valid stays valid, and
+    // are ignored with one warning each.
+    const auto deprecated = [&](const std::string& key) {
       if (!er.has(key)) return false;
-      // The reader path carries the file-name prefix; the suggestion
-      // re-anchors at "$" so the diagnostic names the file only once.
-      std::string block = er.member_path("parallel");
-      if (const auto dollar = block.find("$."); dollar != std::string::npos) {
-        block.erase(0, dollar);
-      }
-      if (has_block) {
-        throw SpecError(er.member_path(key) + ": deprecated alias of " +
-                        block + "." + modern +
-                        "; remove it — the spec already has a "
-                        "\"parallel\" block");
-      }
       log_line(LogLevel::kWarn, "spec",
-               er.member_path(key) + " is deprecated; did you mean " + block +
-                   "." + modern + "?");
+               er.member_path(key) +
+                   " is deprecated and ignored: the kernel derives its "
+                   "channel strips from the world; parallelism is across "
+                   "runs (--jobs)");
       return true;
     };
-    if (deprecated("shards", "shards")) {
-      par.shards = static_cast<int>(er.get_int("shards", par.shards, 1, 4096));
+    if (deprecated("parallel")) {
+      ObjectReader pr(*er.find("parallel"), er.member_path("parallel"));
+      pr.get_int("shards", 1, 1, 4096);
+      pr.get_int("threads", 1, 0, 4096);
+      pr.get_double("epoch_s", 1.0, 1e-9, kInf);
+      pr.finish();
     }
-    if (deprecated("shard_epoch_s", "epoch_s")) {
-      par.epoch_s = er.get_double("shard_epoch_s", par.epoch_s, 1e-9, kInf);
+    if (deprecated("shards")) er.get_int("shards", 1, 1, 4096);
+    if (deprecated("shard_epoch_s")) {
+      er.get_double("shard_epoch_s", 1.0, 1e-9, kInf);
     }
-    if (deprecated("threads", "threads")) {
-      par.threads =
-          static_cast<int>(er.get_int("threads", par.threads, 0, 4096));
-    }
+    if (deprecated("threads")) er.get_int("threads", 1, 0, 4096);
     er.finish();
   }
   if (const obs::JsonValue* v = r.find("traffic")) {

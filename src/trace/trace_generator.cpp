@@ -8,7 +8,6 @@ MobilityTrace generate_trace(ca::Road& road,
                              const TraceGeneratorOptions& options) {
   if (options.steps < 0) throw std::invalid_argument("steps must be >= 0");
   MobilityTrace trace;
-  road.set_executor(options.executor);
 
   const Vec2 delta{options.delta_offset, options.delta_offset};
   auto prev = road.states();
@@ -48,7 +47,6 @@ MobilityTrace generate_trace(ca::Road& road,
     }
     prev = next;
   }
-  road.set_executor(nullptr);
   trace.normalize();
   return trace;
 }

@@ -1,11 +1,11 @@
-// Pluggable fork-join execution pool (docs/SCALING.md "Threading").
+// Pluggable fork-join execution pool (docs/SCALING.md "One event queue,
+// parallelism across runs").
 //
 // One pool abstraction serves every parallel consumer in the tree: the
-// ensemble runner fans whole replications across it, the simulation
-// kernel's epoch barriers run shard precompute on it, and the channel
-// parallelizes its position-snapshot and receive-power passes — all
-// through the same Executor interface, which is also the seam a future
-// multi-machine job server plugs into (ROADMAP item 4).
+// ensemble runner fans whole replications across it and cavenet-serve
+// runs its worker lanes on it — both through the same Executor
+// interface, which is also the seam a future multi-machine job server
+// plugs into. A single simulation run stays serial.
 //
 // Determinism contract: an Executor only decides WHERE work runs, never
 // what it computes. parallel_for(n, ...) invokes body(i) exactly once for
@@ -13,10 +13,7 @@
 // callers that write disjoint slots and merge in index order observe
 // results bitwise-identical to a serial loop at any worker count.
 //
-// This header lives in util (below obs) so every layer can use it;
-// counters are therefore exposed as a plain Diagnostics struct that the
-// layers above publish into a StatsRegistry (the `exec.*` vocabulary in
-// docs/OBSERVABILITY.md).
+// This header lives in util (below obs) so every layer can use it.
 #ifndef CAVENET_UTIL_EXECUTOR_H
 #define CAVENET_UTIL_EXECUTOR_H
 
@@ -25,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -100,26 +96,16 @@ class ThreadPoolExecutor final : public Executor {
                   void (*fn)(void*, std::size_t, std::size_t),
                   void* ctx) override;
 
-  /// Lifetime-accumulated pool activity, for the `exec.*` counters and
-  /// the per-lane `exec.worker<i>.wall_ms` gauges (lane 0 = callers).
-  struct Diagnostics {
-    std::uint64_t batches = 0;  ///< parallel run_chunks calls
-    std::uint64_t tasks = 0;    ///< indices covered by those batches
-    std::uint64_t chunks = 0;   ///< chunks claimed across all lanes
-    std::vector<double> lane_busy_ms;  ///< busy wall time per lane
-  };
-  Diagnostics diagnostics() const;
-
  private:
-  void worker_main(std::size_t lane);
+  void worker_main();
   /// Claims and runs one chunk of the current batch; false when the
   /// batch has no unclaimed chunks left.
-  bool claim_and_run(std::size_t lane);
+  bool claim_and_run();
 
   int lanes_ = 1;
   std::vector<std::thread> threads_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_cv_;  ///< wakes workers on a new batch
   std::condition_variable idle_cv_;  ///< batch setup waits for quiescence
   std::condition_variable done_cv_;  ///< caller waits for chunk completion
@@ -140,11 +126,6 @@ class ThreadPoolExecutor final : public Executor {
 
   std::exception_ptr failure_;
   std::size_t failure_begin_ = 0;
-
-  std::uint64_t diag_batches_ = 0;
-  std::uint64_t diag_tasks_ = 0;
-  std::atomic<std::uint64_t> diag_chunks_{0};
-  std::unique_ptr<std::atomic<std::uint64_t>[]> lane_busy_ns_;
 };
 
 }  // namespace cavenet::exec

@@ -106,20 +106,6 @@ TEST(RunManifestTest, StripVolatileDropsWallClockGauges) {
   EXPECT_EQ(json.find("points.per_wall_s"), std::string::npos);
 }
 
-TEST(RunManifestTest, StripVolatileDropsTheThreadsParam) {
-  // The executor lane count is recorded for live manifests but results
-  // are byte-identical at any value, so the determinism artifact strips
-  // it; every scenario-identity param stays.
-  RunManifest m;
-  m.set_param("threads", std::int64_t{4});
-  m.set_param("vehicles", std::int64_t{30});
-
-  m.strip_volatile();
-
-  EXPECT_EQ(m.param("threads", "gone"), "gone");
-  EXPECT_EQ(m.param("vehicles", ""), "30");
-}
-
 TEST(RunManifestTest, StripVolatileKeepsQuantiles) {
   RunManifest m;
   m.name = "quantile_probe";

@@ -25,7 +25,7 @@ TEST(ShardMapTest, UnconfiguredIsInert) {
 
 TEST(ShardMapTest, StripOfXClampsToPartition) {
   ShardMap map;
-  map.configure(4, 0.0, 1000.0, 1.0, 10.0);
+  map.configure(4, 0.0, 1000.0, 10.0);
   EXPECT_EQ(map.strips(), 4u);
   EXPECT_EQ(map.strip_of_x(-50.0), 0u);    // below x_min
   EXPECT_EQ(map.strip_of_x(0.0), 0u);
@@ -36,7 +36,7 @@ TEST(ShardMapTest, StripOfXClampsToPartition) {
 
 TEST(ShardMapTest, RebucketAssignsMembersInAscendingSlotOrder) {
   ShardMap map;
-  map.configure(2, 0.0, 1000.0, 1.0, 10.0);
+  map.configure(2, 0.0, 1000.0, 10.0);
   const std::vector<Vec2> positions{{900, 0}, {100, 0}, {800, 0}, {200, 0}};
   const std::vector<std::uint8_t> live{1, 1, 1, 1};
   EXPECT_TRUE(map.needs_rebucket(SimTime::zero()));
@@ -51,7 +51,7 @@ TEST(ShardMapTest, RebucketAssignsMembersInAscendingSlotOrder) {
 
 TEST(ShardMapTest, DeadSlotsGetNoStrip) {
   ShardMap map;
-  map.configure(2, 0.0, 100.0, 1.0, 0.0);
+  map.configure(2, 0.0, 100.0, 0.0);
   const std::vector<Vec2> positions{{10, 0}, {90, 0}};
   const std::vector<std::uint8_t> live{1, 0};
   map.rebucket(SimTime::zero(), positions, live);
@@ -62,17 +62,33 @@ TEST(ShardMapTest, DeadSlotsGetNoStrip) {
 
 TEST(ShardMapTest, EpochElapsingForcesRebucket) {
   ShardMap map;
-  map.configure(2, 0.0, 100.0, 0.5, 0.0);
+  map.configure(2, 0.0, 100.0, 0.0);
   const std::vector<Vec2> positions{{10, 0}};
   const std::vector<std::uint8_t> live{1};
   map.rebucket(SimTime::zero(), positions, live);
-  EXPECT_FALSE(map.needs_rebucket(SimTime::from_seconds(0.4)));
-  EXPECT_TRUE(map.needs_rebucket(SimTime::from_seconds(0.5)));
+  EXPECT_FALSE(
+      map.needs_rebucket(SimTime::from_seconds(0.9 * ShardMap::kEpochS)));
+  EXPECT_TRUE(map.needs_rebucket(SimTime::from_seconds(ShardMap::kEpochS)));
+}
+
+TEST(ShardMapTest, SingleStripHasNoEpochAndNoDriftCertificate) {
+  // One strip holds every live slot whatever it does (teleports
+  // included), so the clock never forces a rebucket and a rebucket never
+  // verifies drift.
+  ShardMap map;
+  map.configure(1, 0.0, 0.0, 0.0);
+  std::vector<Vec2> positions{{10, 0}, {20, 0}};
+  const std::vector<std::uint8_t> live{1, 1};
+  map.rebucket(SimTime::zero(), positions, live);
+  EXPECT_FALSE(map.needs_rebucket(SimTime::from_seconds(100.0)));
+  positions[0] = {5000, 0};  // a teleport: no speed bound to violate
+  map.rebucket(1_s, positions, live);
+  EXPECT_EQ(map.members(0), (std::vector<std::uint32_t>{0, 1}));
 }
 
 TEST(ShardMapTest, MarginGrowsWithElapsedTimeAndSpeed) {
   ShardMap map;
-  map.configure(2, 0.0, 1000.0, 1.0, 20.0);
+  map.configure(2, 0.0, 1000.0, 20.0);
   const std::vector<Vec2> positions{{10, 0}};
   const std::vector<std::uint8_t> live{1};
   map.rebucket(2_s, positions, live);
@@ -85,7 +101,7 @@ TEST(ShardMapTest, SpeedBoundViolationThrows) {
   // broken certificate (e.g. an unexpected teleport) — fail loudly rather
   // than silently missing deliveries.
   ShardMap map;
-  map.configure(2, 0.0, 1000.0, 1.0, 5.0);
+  map.configure(2, 0.0, 1000.0, 5.0);
   std::vector<Vec2> positions{{10, 0}};
   const std::vector<std::uint8_t> live{1};
   map.rebucket(SimTime::zero(), positions, live);
@@ -95,7 +111,7 @@ TEST(ShardMapTest, SpeedBoundViolationThrows) {
 
 TEST(ShardMapTest, BoundedDriftRebucketsCleanly) {
   ShardMap map;
-  map.configure(2, 0.0, 1000.0, 1.0, 5.0);
+  map.configure(2, 0.0, 1000.0, 5.0);
   std::vector<Vec2> positions{{498, 0}};
   const std::vector<std::uint8_t> live{1};
   map.rebucket(SimTime::zero(), positions, live);
@@ -110,7 +126,7 @@ TEST(ShardMapTest, InvalidateSkipsDriftVerification) {
   // After churn there is no trusted anchor; the next rebucket must accept
   // any placement instead of throwing.
   ShardMap map;
-  map.configure(2, 0.0, 1000.0, 1.0, 5.0);
+  map.configure(2, 0.0, 1000.0, 5.0);
   std::vector<Vec2> positions{{10, 0}};
   const std::vector<std::uint8_t> live{1};
   map.rebucket(SimTime::zero(), positions, live);

@@ -1,6 +1,7 @@
 #include "phy/spatial_grid.h"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,19 +11,18 @@
 namespace cavenet::phy {
 namespace {
 
-std::vector<std::uint8_t> all_present(std::size_t n) {
-  return std::vector<std::uint8_t>(n, 1);
+std::vector<std::uint32_t> all_members(std::size_t n) {
+  std::vector<std::uint32_t> members(n);
+  std::iota(members.begin(), members.end(), 0u);
+  return members;
 }
 
 TEST(SpatialGridTest, RejectsBadArguments) {
   SpatialGrid grid;
   const std::vector<Vec2> positions = {{0, 0}};
-  const std::vector<std::uint8_t> present = {1};
-  EXPECT_THROW(grid.rebuild(positions, present, 0.0), std::invalid_argument);
-  EXPECT_THROW(grid.rebuild(positions, present, -5.0), std::invalid_argument);
-  const std::vector<std::uint8_t> short_mask;
-  EXPECT_THROW(grid.rebuild(positions, short_mask, 1.0),
-               std::invalid_argument);
+  const std::vector<std::uint32_t> members = {0};
+  EXPECT_THROW(grid.rebuild(positions, members, 0.0), std::invalid_argument);
+  EXPECT_THROW(grid.rebuild(positions, members, -5.0), std::invalid_argument);
 }
 
 TEST(SpatialGridTest, QueryReturnsSupersetOfPointsInRadius) {
@@ -35,7 +35,7 @@ TEST(SpatialGridTest, QueryReturnsSupersetOfPointsInRadius) {
         {rng.uniform(-2000.0, 2000.0), rng.uniform(-50.0, 50.0)});
   }
   SpatialGrid grid;
-  grid.rebuild(positions, all_present(positions.size()), 550.0);
+  grid.rebuild(positions, all_members(positions.size()), 550.0);
   EXPECT_EQ(grid.size(), positions.size());
 
   std::vector<std::uint32_t> out;
@@ -63,7 +63,7 @@ TEST(SpatialGridTest, QueryResultsAscendByIndex) {
     positions.push_back({rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
   }
   SpatialGrid grid;
-  grid.rebuild(positions, all_present(positions.size()), 200.0);
+  grid.rebuild(positions, all_members(positions.size()), 200.0);
   std::vector<std::uint32_t> out;
   grid.query({500.0, 500.0}, 400.0, out);
   EXPECT_FALSE(out.empty());
@@ -72,11 +72,12 @@ TEST(SpatialGridTest, QueryResultsAscendByIndex) {
       << "duplicate index returned";
 }
 
-TEST(SpatialGridTest, PresentMaskExcludesTombstonedSlots) {
+TEST(SpatialGridTest, UnlistedSlotsAreNotBucketed) {
+  // Tombstoned slots (and other strips' radios) are simply not members.
   const std::vector<Vec2> positions = {{0, 0}, {1, 0}, {2, 0}, {3, 0}};
-  const std::vector<std::uint8_t> present = {1, 0, 1, 0};
+  const std::vector<std::uint32_t> members = {0, 2};
   SpatialGrid grid;
-  grid.rebuild(positions, present, 10.0);
+  grid.rebuild(positions, members, 10.0);
   EXPECT_EQ(grid.size(), 2u);
   std::vector<std::uint32_t> out;
   grid.query({0, 0}, 100.0, out);
@@ -88,7 +89,7 @@ TEST(SpatialGridTest, NegativeCoordinatesBucketCorrectly) {
   // the origin land in the same cell and queries near it miss neighbours.
   const std::vector<Vec2> positions = {{-5.0, -5.0}, {5.0, 5.0}, {-400.0, 0.0}};
   SpatialGrid grid;
-  grid.rebuild(positions, all_present(positions.size()), 100.0);
+  grid.rebuild(positions, all_members(positions.size()), 100.0);
   std::vector<std::uint32_t> out;
   grid.query({0.0, 0.0}, 20.0, out);
   EXPECT_TRUE(std::find(out.begin(), out.end(), 0u) != out.end());
@@ -100,9 +101,9 @@ TEST(SpatialGridTest, NegativeCoordinatesBucketCorrectly) {
 TEST(SpatialGridTest, RebuildReplacesPreviousContents) {
   std::vector<Vec2> positions = {{0, 0}, {50, 0}};
   SpatialGrid grid;
-  grid.rebuild(positions, all_present(2), 100.0);
+  grid.rebuild(positions, all_members(2), 100.0);
   positions = {{1000, 1000}};
-  grid.rebuild(positions, all_present(1), 100.0);
+  grid.rebuild(positions, all_members(1), 100.0);
   EXPECT_EQ(grid.size(), 1u);
   std::vector<std::uint32_t> out;
   grid.query({0, 0}, 200.0, out);

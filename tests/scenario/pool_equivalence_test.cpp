@@ -131,10 +131,11 @@ std::string dump_trial(int trial, const TableIConfig& config) {
 /// The randomized scenario shapes under the gate. Drawn from a fixed
 /// meta-seed so the fixture and the checked run always agree on the
 /// sweep; same spirit (and similar cost) as ChannelEquivalenceTest.
-/// `shards` > 1 replays the identical sweep on the sharded kernel, which
-/// must reproduce the same fixture byte for byte (docs/SCALING.md
-/// "Sharding").
-std::string dump_all_trials(int shards = 1) {
+/// `index` kLinear replays the identical sweep through the channel's
+/// brute-force full scan, which must reproduce the same fixture byte for
+/// byte (docs/SCALING.md "Channel strips").
+std::string dump_all_trials(
+    phy::ChannelIndex index = phy::ChannelIndex::kGrid) {
   Rng meta(20260807);
   const Protocol protocols[] = {Protocol::kAodv, Protocol::kOlsr,
                                 Protocol::kDymo, Protocol::kDsdv};
@@ -152,7 +153,7 @@ std::string dump_all_trials(int shards = 1) {
     config.duration_s = 12.0;
     config.traffic_start_s = 2.0;
     config.traffic_stop_s = 10.0;
-    config.parallel.shards = shards;
+    config.channel_index = index;
     dump += dump_trial(trial, config);
   }
   return dump;
@@ -193,12 +194,13 @@ TEST(PoolEquivalenceTest, RandomizedRunsMatchGoldenFixture) {
       << "fresh dump has extra lines beyond the fixture";
 }
 
-TEST(PoolEquivalenceTest, ShardedRunsMatchTheSameGoldenFixture) {
-  // The sharded kernel must reproduce the fixture captured from the
-  // single-queue kernel — same golden file, never a regenerated one: a
-  // sharded-only fixture could hide a divergence between the two paths.
+TEST(PoolEquivalenceTest, LinearIndexRunsMatchTheSameGoldenFixture) {
+  // The kLinear full scan must reproduce the fixture the default
+  // strip/grid channel is checked against — same golden file, never a
+  // regenerated one: a per-path fixture could hide a divergence between
+  // the two candidate searches.
   if (std::getenv("CAVENET_REGEN_GOLDEN") != nullptr) {
-    GTEST_SKIP() << "fixture regeneration is driven by the unsharded run";
+    GTEST_SKIP() << "fixture regeneration is driven by the default run";
   }
   std::ifstream in(kGoldenPath);
   ASSERT_TRUE(in.is_open())
@@ -207,7 +209,7 @@ TEST(PoolEquivalenceTest, ShardedRunsMatchTheSameGoldenFixture) {
   std::stringstream golden;
   golden << in.rdbuf();
 
-  const std::string fresh = dump_all_trials(/*shards=*/5);
+  const std::string fresh = dump_all_trials(phy::ChannelIndex::kLinear);
   std::istringstream fresh_lines(fresh);
   std::istringstream golden_lines(golden.str());
   std::string fresh_line, golden_line;
@@ -215,13 +217,13 @@ TEST(PoolEquivalenceTest, ShardedRunsMatchTheSameGoldenFixture) {
   while (std::getline(golden_lines, golden_line)) {
     ++line_no;
     ASSERT_TRUE(std::getline(fresh_lines, fresh_line))
-        << "sharded dump ends early at fixture line " << line_no;
+        << "kLinear dump ends early at fixture line " << line_no;
     EXPECT_EQ(fresh_line, golden_line)
-        << "sharded kernel diverged at fixture line " << line_no;
+        << "kLinear channel diverged at fixture line " << line_no;
     if (fresh_line != golden_line) return;  // one divergence is enough
   }
   EXPECT_FALSE(std::getline(fresh_lines, fresh_line))
-      << "sharded dump has extra lines beyond the fixture";
+      << "kLinear dump has extra lines beyond the fixture";
 }
 
 }  // namespace

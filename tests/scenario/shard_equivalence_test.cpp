@@ -1,12 +1,14 @@
-// Parallel-equivalence property gate: sharding and threading the kernel
-// are pure locality/throughput optimizations, so a run's complete
-// observable output — every SenderRunResult field, the full
-// stats-registry JSON and the (uid-canonicalized) ns-2 packet log —
-// must be byte-identical at every (shards, threads) pair. Randomized
-// Table-I scenarios cover both layouts (circular shards; straight-line
-// falls back on its lane-wrap teleports) plus a seeded trace that
-// oscillates nodes across strip boundaries every epoch, the worst case
-// for stale-membership lookahead.
+// Strip-equivalence property gate: the channel's strips are a pure
+// locality optimization, so a run's complete observable output — every
+// SenderRunResult field, the full stats-registry JSON and the
+// (uid-canonicalized) ns-2 packet log — must be byte-identical to the
+// kLinear full-scan oracle at whatever strip count the world resolves
+// to. Randomized Table-I scenarios spread their circuit lengths so the
+// trials resolve one to many strips and cover both layouts (straight-line
+// stays on one strip because of its lane-wrap teleports), plus a seeded
+// trace that oscillates nodes across strip boundaries, the worst case for
+// stale-membership lookahead.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
@@ -76,15 +78,17 @@ void dump_result(std::ostringstream& out, const SenderRunResult& r) {
   out << '\n';
 }
 
-/// Complete observable outcome of one Table-I run at (shards, threads).
-std::string dump_table1(TableIConfig config, int shards, int threads) {
-  config.parallel.shards = shards;
-  config.parallel.threads = threads;
+/// Complete observable outcome of one Table-I run through `index`;
+/// `strips` (optional) receives the strip count the channel resolved.
+std::string dump_table1(TableIConfig config, phy::ChannelIndex index,
+                        std::uint32_t* strips = nullptr) {
+  config.channel_index = index;
   netsim::PacketLog log;
   obs::StatsRegistry stats;
   config.obs.packet_log = &log;
   config.obs.stats = &stats;
   const SenderRunResult r = run_table1(config);
+  if (strips != nullptr) *strips = r.channel_strips;
 
   std::ostringstream ns2;
   log.write_ns2(ns2);
@@ -99,14 +103,15 @@ std::string dump_table1(TableIConfig config, int shards, int threads) {
 
 /// Same, over an explicit mobility trace.
 std::string dump_trace_run(const trace::MobilityTrace& mobility,
-                           TableIConfig config, int shards, int threads) {
-  config.parallel.shards = shards;
-  config.parallel.threads = threads;
+                           TableIConfig config, phy::ChannelIndex index,
+                           std::uint32_t* strips = nullptr) {
+  config.channel_index = index;
   netsim::PacketLog log;
   obs::StatsRegistry stats;
   config.obs.packet_log = &log;
   config.obs.stats = &stats;
   const auto results = run_with_trace(mobility, config, {config.sender});
+  if (strips != nullptr) *strips = results.front().channel_strips;
 
   std::ostringstream ns2;
   log.write_ns2(ns2);
@@ -120,22 +125,24 @@ std::string dump_trace_run(const trace::MobilityTrace& mobility,
 }
 
 TEST(ShardEquivalenceTest, RandomizedScenariosByteIdenticalAtAnyShardCount) {
-  // ~50 randomized scenario shapes, each compared across shard counts
-  // chosen to hit even/odd partitions and counts above what the world
-  // supports (the resolve-time min() clamp), with a randomized executor
-  // lane count per trial plus a threads-only (shards=1) run — the full
-  // (shards, threads) matrix spread across trials.
+  // ~50 randomized scenario shapes. The circuit length (lane_cells) is
+  // spread log-uniformly from the Table-I density to ~20x sparser, so the
+  // derived strip count floor(diameter / radius) ranges from one to a
+  // dozen.
   Rng meta(20260809);
   const Protocol protocols[] = {Protocol::kAodv, Protocol::kOlsr,
                                 Protocol::kDymo, Protocol::kDsdv};
-  for (int trial = 0; trial < 50; ++trial) {
+  constexpr int kTrials = 50;
+  int multi_strip = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
     TableIConfig config;
     config.protocol = protocols[meta.uniform_int(std::int64_t{0}, 3)];
     config.vehicles = static_cast<std::int32_t>(
         meta.uniform_int(std::int64_t{8}, std::int64_t{24}));
-    config.lane_cells = config.vehicles * 13;
-    // Mix in the straight-line layout: its lane-wrap teleports force the
-    // unsharded fallback, which must be equally byte-stable.
+    config.lane_cells = std::llround(config.vehicles * 13.0 *
+                                     std::exp2(meta.uniform(0.0, 4.5)));
+    // Mix in the straight-line layout: its lane-wrap teleports keep it
+    // on one strip, which must be equally byte-stable.
     config.circular_layout = meta.uniform_int(std::int64_t{0}, 3) != 0;
     config.sender = static_cast<netsim::NodeId>(
         meta.uniform_int(std::int64_t{1}, config.vehicles - 1));
@@ -145,41 +152,36 @@ TEST(ShardEquivalenceTest, RandomizedScenariosByteIdenticalAtAnyShardCount) {
     config.traffic_start_s = 1.0;
     config.traffic_stop_s = 7.0;
 
-    const int thread_choices[] = {1, 2, 4};
-    const int threads =
-        thread_choices[meta.uniform_int(std::int64_t{0}, 2)];
-
-    const std::string reference = dump_table1(config, 1, 1);
-    for (const int shards : {2, 4, 7}) {
-      const std::string sharded = dump_table1(config, shards, threads);
-      ASSERT_EQ(sharded, reference)
-          << "trial " << trial << " protocol "
-          << to_string(config.protocol) << " vehicles " << config.vehicles
-          << " layout "
-          << (config.circular_layout ? "circular" : "straight")
-          << " seed " << config.seed << " diverged at shards=" << shards
-          << " threads=" << threads;
-    }
-    // Threads without shards: the pool alone must be inert too.
-    ASSERT_EQ(dump_table1(config, 1, 4), reference)
-        << "trial " << trial << " seed " << config.seed
-        << " diverged at shards=1 threads=4";
+    std::uint32_t strips = 0;
+    const std::string reference =
+        dump_table1(config, phy::ChannelIndex::kLinear);
+    ASSERT_EQ(dump_table1(config, phy::ChannelIndex::kGrid, &strips),
+              reference)
+        << "trial " << trial << " protocol " << to_string(config.protocol)
+        << " vehicles " << config.vehicles << " lane_cells "
+        << config.lane_cells << " layout "
+        << (config.circular_layout ? "circular" : "straight") << " seed "
+        << config.seed << " diverged at " << strips << " strips";
+    if (strips >= 2) ++multi_strip;
   }
+  // The gate is only as good as its spread: at least a quarter of the
+  // trials must exercise the multi-strip path.
+  EXPECT_GE(multi_strip * 4, kTrials) << multi_strip << " multi-strip trials";
 }
 
 TEST(ShardEquivalenceTest, BoundaryChurnTraceByteIdentical) {
-  // Nodes parked just beside a strip boundary oscillate across it every
-  // second — membership goes stale the instant it is bucketed, so every
-  // delivery near the boundary leans on the drift margin. A relay chain
-  // keeps the flow crossing strips.
+  // A node parked on the strip boundary oscillates across it every
+  // second, so its membership goes stale the instant it is bucketed. A
+  // relay chain keeps the flow crossing strips.
   trace::MobilityTrace mobility;
   Rng rng(7);
   const double speed = 12.0;
-  for (int node = 0; node < 12; ++node) {
-    const double x = 60.0 + 130.0 * node;  // chain spanning 0..1500 m
+  for (int node = 0; node < 13; ++node) {
+    // Chain spanning 35..1645 m: two strips, split at x = 840, which is
+    // node 6's home.
+    const double x = 60.0 + 130.0 * node;
     mobility.initial_positions.push_back({x, 0.0});
-    // Oscillate each node around its home; nodes near multiples of the
-    // strip width cross boundaries at every leg.
+    // Oscillate each node around its home.
     double t = rng.uniform(0.0, 0.5);
     bool out = true;
     while (t < 10.0) {
@@ -196,25 +198,24 @@ TEST(ShardEquivalenceTest, BoundaryChurnTraceByteIdentical) {
   TableIConfig config;
   config.protocol = Protocol::kAodv;
   config.receiver = 0;
-  config.sender = 11;  // far end: packets must relay across every strip
+  config.sender = 12;  // far end: packets must relay across the boundary
   config.duration_s = 10.0;
   config.traffic_start_s = 1.0;
   config.traffic_stop_s = 9.0;
-  config.parallel.epoch_s = 0.5;  // force frequent rebuckets
 
-  const std::string reference = dump_trace_run(mobility, config, 1, 1);
-  for (const int shards : {2, 4, 7}) {
-    for (const int threads : {1, 4}) {
-      EXPECT_EQ(dump_trace_run(mobility, config, shards, threads), reference)
-          << "boundary-churn trace diverged at shards=" << shards
-          << " threads=" << threads;
-    }
-  }
+  std::uint32_t strips = 0;
+  const std::string reference =
+      dump_trace_run(mobility, config, phy::ChannelIndex::kLinear);
+  EXPECT_EQ(dump_trace_run(mobility, config, phy::ChannelIndex::kGrid,
+                           &strips),
+            reference)
+      << "boundary-churn trace diverged at " << strips << " strips";
+  EXPECT_GE(strips, 2u);
 }
 
 TEST(ShardEquivalenceTest, MidRunTeleportTraceFallsBackUnsharded) {
   // A trace with a t > 0 teleport cannot certify a max speed, so the
-  // scenario layer must refuse to shard it (rather than let the drift
+  // scenario layer must keep it on one strip (rather than let the drift
   // check blow up mid-run) — and the fallback output is still identical.
   trace::MobilityTrace mobility;
   for (int node = 0; node < 6; ++node) {
@@ -237,9 +238,13 @@ TEST(ShardEquivalenceTest, MidRunTeleportTraceFallsBackUnsharded) {
   config.traffic_start_s = 1.0;
   config.traffic_stop_s = 5.0;
 
-  const std::string reference = dump_trace_run(mobility, config, 1, 1);
-  // Threads stay live through the unsharded fallback — byte-inert too.
-  EXPECT_EQ(dump_trace_run(mobility, config, 4, 4), reference);
+  std::uint32_t strips = 0;
+  const std::string reference =
+      dump_trace_run(mobility, config, phy::ChannelIndex::kLinear);
+  EXPECT_EQ(dump_trace_run(mobility, config, phy::ChannelIndex::kGrid,
+                           &strips),
+            reference);
+  EXPECT_EQ(strips, 1u);
 }
 
 }  // namespace

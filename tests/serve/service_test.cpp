@@ -13,10 +13,13 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "obs/json.h"
 #include "serve/service.h"
@@ -328,6 +331,79 @@ TEST(JobServiceTest, HttpSurfaceEndToEnd) {
       obs::StatsSnapshot::from_json(stats.body);
   EXPECT_EQ(snapshot.counter("serve.jobs.done"), 1u);
   EXPECT_EQ(snapshot.counter("serve.cache.misses"), 2u);
+  service.stop();
+}
+
+TEST(JobServiceTest, FollowStreamEndsWithTheLastProgressLine) {
+  // A job finalizes under the service lock: it writes the campaign CSV,
+  // turns terminal and appends campaign_finished. A follow stream that
+  // snapshots the progress lines before checking the job state can see
+  // it terminal without that last line. Park the worker inside finalize
+  // (its CSV path is a FIFO no one reads yet) until the follower has
+  // polled into the lock, then let it finish.
+  const fs::path state = fresh_dir("serve_follow_tail");
+  const spec::CampaignSpec spec = spec::parse_campaign(kOtherJson, "o.json");
+  const fs::path job_dir = state / "jobs" / "j1";  // the first job's id
+  fs::create_directories(job_dir);
+  const fs::path csv = job_dir / spec.outputs.csv;
+  ASSERT_EQ(::mkfifo(csv.c_str(), 0600), 0);
+
+  JobService service(base_options(state, 1));
+  const std::string job = service.submit(kOtherJson);
+  ASSERT_EQ(job, "j1");
+  HttpRequest request;
+  request.method = "GET";
+  request.target = "/v1/jobs/" + job + "/events?follow=1";
+  request.path = "/v1/jobs/" + job + "/events";
+  request.query = "follow=1";
+  HttpResponse response = service.handle(request);
+  ASSERT_TRUE(response.chunks);
+
+  std::mutex stream_mutex;
+  std::string stream;
+  std::thread follower([&] {
+    std::string chunk;
+    while (response.chunks(&chunk)) {
+      std::lock_guard<std::mutex> lock(stream_mutex);
+      stream += chunk;
+      chunk.clear();
+    }
+  });
+  // The job's progress file (flushed per line) shows when both points
+  // are done and the worker is heading into finalize.
+  const auto points_finished = [&] {
+    std::ifstream progress(job_dir / "progress.jsonl", std::ios::binary);
+    std::size_t n = 0;
+    for (std::string line; std::getline(progress, line);) {
+      if (line.find("\"point_finished\"") != std::string::npos) ++n;
+    }
+    return n;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (points_finished() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(points_finished(), 2u);
+  // Several 50 ms follow polls: the follower is now waiting on the lock
+  // the parked worker holds.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  {
+    std::ifstream drain(csv, std::ios::binary);  // releases the worker
+    std::ostringstream sink;
+    sink << drain.rdbuf();
+  }
+  follower.join();
+
+  ASSERT_TRUE(service.wait(job, 60.0));
+  std::string last_line;
+  std::istringstream lines(stream);
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.empty()) last_line = line;
+  }
+  EXPECT_NE(last_line.find("\"event\":\"campaign_finished\""),
+            std::string::npos)
+      << "stream ended with: " << last_line;
   service.stop();
 }
 

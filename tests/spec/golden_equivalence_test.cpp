@@ -167,63 +167,6 @@ TEST(GoldenEquivalenceTest, Fig8SpecMatchesHardcodedDriverAtAnyJobs) {
   }
 }
 
-TEST(GoldenEquivalenceTest, Fig8ShardedMatchesHardcodedDriverAtAnyJobs) {
-  // The sharded kernel rides the same gate: every --jobs x --shards
-  // combination must write byte-identical artifacts to the unsharded
-  // hardcoded driver. Shards are injected into the parsed spec exactly
-  // where `engine.parallel.shards` lands.
-  CampaignSpec spec = load_campaign_file(CAVENET_SPEC_DIR "/fig8_aodv.json");
-  ASSERT_EQ(spec.kind, SpecKind::kGoodputSurface);
-
-  const GoodputGolden golden = hardcoded_fig8_aodv();
-  for (const int jobs : {1, 4}) {
-    for (const int shards : {1, 4}) {
-      spec.scenario.config.parallel.shards = shards;
-      const fs::path dir =
-          fresh_dir("golden_fig8_jobs" + std::to_string(jobs) + "_shards" +
-                    std::to_string(shards));
-      run_spec_into(spec, jobs, dir);
-      EXPECT_EQ(slurp(dir / "goodput_AODV.csv"), golden.csv)
-          << "CSV diverged at --jobs " << jobs << " --shards " << shards;
-      EXPECT_EQ(slurp(dir / "goodput_AODV.manifest.json"), golden.manifest)
-          << "manifest diverged at --jobs " << jobs << " --shards "
-          << shards;
-    }
-  }
-}
-
-TEST(GoldenEquivalenceTest, Fig8ShardedExampleSpecMatchesGoldenCsv) {
-  // The checked-in fig8_sharded.json (legacy engine.shards = 4, kept as
-  // the alias-path exerciser) must produce the exact CSV of the
-  // unsharded Fig. 8 run — the sharded spec differs only in output
-  // names.
-  const CampaignSpec spec =
-      load_campaign_file(CAVENET_SPEC_DIR "/fig8_sharded.json");
-  ASSERT_EQ(spec.kind, SpecKind::kGoodputSurface);
-  ASSERT_EQ(spec.scenario.config.parallel.shards, 4);
-
-  const fs::path dir = fresh_dir("golden_fig8_sharded_example");
-  run_spec_into(spec, /*jobs=*/1, dir);
-  EXPECT_EQ(slurp(dir / "goodput_AODV_sharded.csv"),
-            hardcoded_fig8_aodv().csv);
-}
-
-TEST(GoldenEquivalenceTest, Fig8ParallelExampleSpecMatchesGoldenCsv) {
-  // The modern engine.parallel block (shards + executor lanes) rides the
-  // same gate: fig8_parallel.json must reproduce the unsharded Fig. 8
-  // CSV byte-for-byte with the thread pool live.
-  const CampaignSpec spec =
-      load_campaign_file(CAVENET_SPEC_DIR "/fig8_parallel.json");
-  ASSERT_EQ(spec.kind, SpecKind::kGoodputSurface);
-  ASSERT_EQ(spec.scenario.config.parallel.shards, 4);
-  ASSERT_EQ(spec.scenario.config.parallel.threads, 4);
-
-  const fs::path dir = fresh_dir("golden_fig8_parallel_example");
-  run_spec_into(spec, /*jobs=*/1, dir);
-  EXPECT_EQ(slurp(dir / "goodput_AODV_parallel.csv"),
-            hardcoded_fig8_aodv().csv);
-}
-
 TEST(GoldenEquivalenceTest, Fig4SpecMatchesHardcodedDriverAtAnyJobs) {
   const CampaignSpec spec =
       load_campaign_file(CAVENET_SPEC_DIR "/fig4_fundamental_diagram.json");

@@ -1,9 +1,14 @@
 #include "spec/spec.h"
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "obs/json.h"
 #include "scenario/table1.h"
+#include "spec/engine.h"
+#include "util/logging.h"
 
 #include <gtest/gtest.h>
 
@@ -73,46 +78,93 @@ TEST(SpecParseTest, FullScenarioRoundTrip) {
   EXPECT_DOUBLE_EQ(config.heartbeat_s, 10.0);
 }
 
-TEST(SpecParseTest, EngineParallelParsesAndDefaults) {
-  const CampaignSpec plain = parse_campaign(
-      R"({"name": "t", "kind": "campaign", "scenario": {}})", "test.json");
-  EXPECT_EQ(plain.scenario.config.parallel.shards, 1);
-  EXPECT_EQ(plain.scenario.config.parallel.threads, 1);
-  EXPECT_DOUBLE_EQ(plain.scenario.config.parallel.epoch_s, 1.0);
+/// Parses `json`, returning the number of deprecation warnings logged.
+int deprecation_warnings(const std::string& json) {
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::kWarn);
+  ::testing::internal::CaptureStderr();
+  parse_campaign(json, "test.json");
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  set_log_level(saved);
+  int count = 0;
+  for (std::size_t at = err.find("is deprecated and ignored");
+       at != std::string::npos;
+       at = err.find("is deprecated and ignored", at + 1)) {
+    ++count;
+  }
+  return count;
+}
 
-  const CampaignSpec parallel = parse_campaign(R"({
+TEST(SpecParseTest, EngineParallelParsesAndDefaults) {
+  // The kernel has no parallelism settings: the block parses, warns once
+  // and leaves the scenario at its defaults.
+  EXPECT_EQ(deprecation_warnings(
+                R"({"name": "t", "kind": "campaign", "scenario": {}})"),
+            0);
+  EXPECT_EQ(deprecation_warnings(R"({
     "name": "t", "kind": "campaign",
     "scenario": {"engine": {"parallel":
         {"shards": 4, "threads": 2, "epoch_s": 0.5}}}
-  })", "test.json");
-  EXPECT_EQ(parallel.scenario.config.parallel.shards, 4);
-  EXPECT_EQ(parallel.scenario.config.parallel.threads, 2);
-  EXPECT_DOUBLE_EQ(parallel.scenario.config.parallel.epoch_s, 0.5);
+  })"),
+            1);
 }
 
 TEST(SpecParseTest, EngineLegacyShardKeysAliasTheParallelBlock) {
-  // Pre-ParallelConfig specs spelled the knobs flat on `engine`; they
-  // keep parsing (with a deprecation warning) as validated aliases.
-  const CampaignSpec legacy = parse_campaign(R"({
+  // Pre-ParallelConfig specs spelled the knobs flat on `engine`; like
+  // the block they parse as no-ops with one warning per key, alone or
+  // mixed with the block.
+  EXPECT_EQ(deprecation_warnings(R"({
     "name": "t", "kind": "campaign",
     "scenario": {"engine": {"shards": 4, "shard_epoch_s": 0.5,
                             "threads": 2}}
-  })", "test.json");
-  EXPECT_EQ(legacy.scenario.config.parallel.shards, 4);
-  EXPECT_EQ(legacy.scenario.config.parallel.threads, 2);
-  EXPECT_DOUBLE_EQ(legacy.scenario.config.parallel.epoch_s, 0.5);
-}
-
-TEST(SpecParseTest, EngineLegacyKeyMixedWithParallelBlockIsRejected) {
-  const std::string what = error_of(R"({
+  })"),
+            3);
+  EXPECT_EQ(deprecation_warnings(R"({
     "name": "t", "kind": "campaign",
     "scenario": {"engine": {"parallel": {"shards": 2}, "shards": 4}}
-  })");
-  EXPECT_NE(what.find("$.scenario.engine.shards"), std::string::npos) << what;
-  EXPECT_NE(what.find("deprecated alias"), std::string::npos) << what;
-  EXPECT_NE(what.find("$.scenario.engine.parallel.shards"),
-            std::string::npos)
-      << what;
+  })"),
+            2);
+}
+
+TEST(SpecParseTest, DeprecatedEngineKeysRunByteIdenticalToFig8Aodv) {
+  // Each deprecated engine key, injected into the checked-in Fig. 8
+  // spec, must leave every output byte unchanged.
+  std::ifstream in(CAVENET_SPEC_DIR "/fig8_aodv.json");
+  ASSERT_TRUE(in.is_open());
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string plain = text.str();
+  const std::string anchor = "\"scenario\": {";
+  ASSERT_NE(plain.find(anchor), std::string::npos);
+
+  const auto run_csv = [](const std::string& json, const std::string& tag) {
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / ("deprecated_" + tag);
+    std::filesystem::remove_all(dir);
+    RunOptions options;
+    options.jobs = 2;
+    options.output_dir = dir.string();
+    EXPECT_EQ(run_spec(parse_campaign(json, tag + ".json"), options), 0);
+    std::ifstream csv(dir / "goodput_AODV.csv", std::ios::binary);
+    std::ostringstream bytes;
+    bytes << csv.rdbuf();
+    return bytes.str();
+  };
+  const std::string reference = run_csv(plain, "plain");
+  ASSERT_FALSE(reference.empty());
+
+  const char* const engines[] = {
+      R"("parallel": {"shards": 4, "threads": 4, "epoch_s": 0.5})",
+      R"("shards": 4)", R"("shard_epoch_s": 0.5)", R"("threads": 4)"};
+  int tag = 0;
+  for (const char* engine : engines) {
+    std::string json = plain;
+    json.insert(json.find(anchor) + anchor.size(),
+                std::string("\"engine\": {") + engine + "}, ");
+    EXPECT_EQ(deprecation_warnings(json), 1) << engine;
+    EXPECT_EQ(run_csv(json, "engine" + std::to_string(tag++)), reference)
+        << engine;
+  }
 }
 
 TEST(SpecParseTest, EngineParallelIsRangeChecked) {

@@ -1,8 +1,9 @@
-// Executor units (docs/SCALING.md "Threading"): exactly-once index
-// coverage, grain-floored chunking, disjoint-slot writes byte-identical
-// to the serial reference, deterministic lowest-begin exception
-// rethrow, and pool reuse across batches. Rides the tier1-shard label
-// so the tsan preset races the pool on every run.
+// Executor units (docs/SCALING.md "One event queue, parallelism across
+// runs"): exactly-once index coverage, grain-floored chunking,
+// disjoint-slot writes byte-identical to the serial reference,
+// deterministic lowest-begin exception rethrow, and pool reuse across
+// batches. Rides the tier1-shard label so the tsan preset races the
+// pool on every run.
 #include "util/executor.h"
 
 #include <algorithm>
@@ -146,19 +147,6 @@ TEST(ThreadPoolExecutorTest, SurvivesAFailedBatchAndKeepsWorking) {
     count.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(count.load(), 64u);
-}
-
-TEST(ThreadPoolExecutorTest, DiagnosticsAccumulateAcrossBatches) {
-  ThreadPoolExecutor pool(2);
-  const ThreadPoolExecutor::Diagnostics before = pool.diagnostics();
-  pool.parallel_for(100, 1, [](std::size_t) {});
-  pool.parallel_for(50, 1, [](std::size_t) {});
-  const ThreadPoolExecutor::Diagnostics after = pool.diagnostics();
-  EXPECT_EQ(after.batches, before.batches + 2);
-  EXPECT_EQ(after.tasks, before.tasks + 150);
-  EXPECT_GE(after.chunks, after.batches);  // >= one chunk per batch
-  ASSERT_EQ(after.lane_busy_ms.size(), 2u);
-  for (const double busy : after.lane_busy_ms) EXPECT_GE(busy, 0.0);
 }
 
 }  // namespace

@@ -8,9 +8,7 @@ Usage:
         [--tolerance FACTOR] [--filter REGEX] [--min-time SECS]
     bench_check.py --scale --bench-binary build/bench/bench_scale
         [--baseline BENCH_scale.json] [--label LABEL]
-        [--tolerance FACTOR] [--shards N] [--threads T]
-    bench_check.py --efficiency [--baseline BENCH_scale.json]
-        [--label LABEL] [--threads T] [--min-speedup FACTOR]
+        [--tolerance FACTOR]
     bench_check.py --nas --bench-binary build/bench/bench_micro
         [--baseline BENCH_micro.json] [--label pr3-seed]
         [--min-speedup FACTOR] [--min-time SECS]
@@ -22,32 +20,24 @@ regresses when
 
     fresh_ns > baseline_ns * tolerance
 
---scale mode instead runs `bench_scale --smoke --shards N [--threads T]`
-in a scratch directory (the bench's own parallel-equivalence gate runs
-as part of this) and compares the throughput of each sweep point, keyed
-by (protocol, vehicles, shards, threads), against the baseline's points.
-Throughput is better-is-bigger, so a point regresses when
+--scale mode instead runs `bench_scale --smoke` in a scratch directory
+and compares the throughput of each sweep point, keyed by (protocol,
+vehicles), against the baseline entry's serial points (`shards` and
+`threads` absent or 1 — older entries also recorded sharded and
+threaded variants of the kernel, which no longer exists). Throughput is
+better-is-bigger, so a point regresses when
 
     fresh_events_per_s < baseline_events_per_s / tolerance
 
---efficiency mode runs no benchmark at all: it audits the checked-in
-BENCH_scale.json for scaling efficiency. For every recorded point with
-threads >= T it finds the same point's serial (shards=1, threads=1)
-baseline and fails when
-
-    threaded_events_per_s / serial_events_per_s < min_speedup
-
-Points whose recorded `hw` (the lane count of the machine that produced
-the baseline) is below the requested thread count are SKIPPED, not
-failed — a single-core CI box cannot demonstrate a 4-thread speedup and
-must not fail the gate for it (docs/SCALING.md "Threading").
+A fresh point with no baseline point fails the gate too: a gate whose
+every point skips would never fire.
 
 The default tolerance is deliberately wide (5x): this is a smoke gate
 against order-of-magnitude regressions (an accidental O(n^2), a lost
 pool, a debug build sneaking into CI), not a statistical benchmark —
 shared CI machines are far too noisy for tight bands. Speedups and
-benchmarks missing from either side never fail the gate (new benchmarks
-have no baseline yet; retired ones no longer matter).
+benchmarks missing from either side never fail the default gate (new
+benchmarks have no baseline yet; retired ones no longer matter).
 
 --nas mode is the SoA mobility-kernel speedup floor rather than a
 regression band: it runs BM_NasLaneStep/40000 fresh and compares it
@@ -130,24 +120,30 @@ def run_bench(binary, filter_regex, min_time):
 
 
 def point_key(point):
-    """(protocol, vehicles, shards, threads) identity of a scale sweep
-    point, or None when the point predates a required key (old baselines
-    lack `shards`; such points are skipped, never failed). Baselines
-    older than the threaded dispatcher lack `threads` and were serial by
-    construction, so it defaults to 1."""
+    """(protocol, vehicles) identity of a serial scale sweep point, or
+    None when the point lacks either key or is a sharded/threaded
+    variant (shards or threads present and != 1)."""
     protocol = point.get("protocol")
     vehicles = point.get("vehicles")
-    shards = point.get("shards")
-    threads = point.get("threads", 1)
     if not isinstance(protocol, str):
         return None
     if not isinstance(vehicles, (int, float)):
         return None
-    if not isinstance(shards, (int, float)):
+    if point.get("shards", 1) != 1 or point.get("threads", 1) != 1:
         return None
-    if not isinstance(threads, (int, float)):
-        return None
-    return (protocol, int(vehicles), int(shards), int(threads))
+    return (protocol, int(vehicles))
+
+
+def scale_points(entry):
+    """{(protocol, vehicles): events_per_s} over an entry's serial
+    points."""
+    points = {}
+    for point in entry.get("points", []):
+        key = point_key(point)
+        rate = point.get("events_per_s")
+        if key is not None and isinstance(rate, (int, float)):
+            points[key] = float(rate)
+    return points
 
 
 def load_scale_baseline(path, label):
@@ -170,32 +166,17 @@ def load_scale_baseline(path, label):
                 f"bench_check: no baseline entry labelled {label!r} in {path}")
     else:
         entry = entries[-1]  # newest entry: labels accumulate in PR order
-    points = {}
-    for point in entry.get("points", []):
-        key = point_key(point)
-        rate = point.get("events_per_s")
-        hw = point.get("hw")
-        if key is not None and isinstance(rate, (int, float)):
-            points[key] = {
-                "rate": float(rate),
-                "hw": int(hw) if isinstance(hw, (int, float)) else None,
-            }
-    return entry.get("label", "?"), points
+    return entry.get("label", "?"), scale_points(entry)
 
 
-def run_scale_bench(binary, shards, threads):
-    """Runs bench_scale --smoke (optionally sharded/threaded) in a
-    scratch directory and returns its fresh points keyed like the
-    baseline."""
+def run_scale_bench(binary):
+    """Runs bench_scale --smoke in a scratch directory and returns its
+    fresh points keyed like the baseline."""
     binary = os.path.abspath(binary)
     with tempfile.TemporaryDirectory(prefix="bench_check_scale_") as cwd:
-        cmd = [binary, "--smoke"]
-        if shards > 1:
-            cmd.append(f"--shards={shards}")
-        if threads > 1:
-            cmd.append(f"--threads={threads}")
         try:
-            proc = subprocess.run(cmd, cwd=cwd, stdout=subprocess.PIPE,
+            proc = subprocess.run([binary, "--smoke"], cwd=cwd,
+                                  stdout=subprocess.PIPE,
                                   stderr=subprocess.STDOUT, text=True)
         except OSError as err:
             sys.exit(f"bench_check: cannot run {binary}: {err}")
@@ -212,11 +193,7 @@ def run_scale_bench(binary, shards, threads):
                      f"{err}")
     points = {}
     for entry in doc.get("entries", []):
-        for point in entry.get("points", []):
-            key = point_key(point)
-            rate = point.get("events_per_s")
-            if key is not None and isinstance(rate, (int, float)):
-                points[key] = float(rate)
+        points.update(scale_points(entry))
     if not points:
         sys.exit("bench_check: scale run produced no gateable points")
     return points
@@ -224,22 +201,23 @@ def run_scale_bench(binary, shards, threads):
 
 def check_scale(args):
     label, baseline = load_scale_baseline(args.baseline, args.label)
-    fresh = run_scale_bench(args.bench_binary, args.shards, args.threads)
+    fresh = run_scale_bench(args.bench_binary)
 
     print(f"baseline: {args.baseline} [{label}]  tolerance x{args.tolerance}")
     regressions = []
+    missing = []
     for key in sorted(fresh):
-        protocol, vehicles, shards, threads = key
-        name = f"{protocol} N={vehicles} shards={shards} threads={threads}"
+        protocol, vehicles = key
+        name = f"{protocol} N={vehicles}"
         fresh_rate = fresh[key]
-        base = baseline.get(key)
-        base_rate = base["rate"] if base is not None else None
+        base_rate = baseline.get(key)
         if base_rate is None:
-            print(f"  {name:32s} {fresh_rate:>14.0f} ev/s  (no baseline)")
+            print(f"  {name:16s} {fresh_rate:>14.0f} ev/s  NO BASELINE")
+            missing.append(name)
             continue
         ratio = base_rate / fresh_rate if fresh_rate > 0 else float("inf")
         flag = "  REGRESSION" if ratio > args.tolerance else ""
-        print(f"  {name:32s} {base_rate:>14.0f} -> {fresh_rate:<14.0f} ev/s "
+        print(f"  {name:16s} {base_rate:>14.0f} -> {fresh_rate:<14.0f} ev/s "
               f"(x{ratio:.2f} slower){flag}")
         if flag:
             regressions.append((name, base_rate, fresh_rate, ratio))
@@ -250,60 +228,12 @@ def check_scale(args):
         for name, base_rate, fresh_rate, ratio in regressions:
             print(f"  {name}: {base_rate:.0f} -> {fresh_rate:.0f} ev/s "
                   f"(x{ratio:.2f} slower)")
+    if missing:
+        print(f"\n{len(missing)} fresh scale point(s) have no serial "
+              f"baseline in [{label}]: {', '.join(missing)}")
+    if regressions or missing:
         return 1
     print("\nno scale regressions.")
-    return 0
-
-
-def check_efficiency(args):
-    """Audits the checked-in BENCH_scale.json: every threaded point must
-    beat its serial sibling by --min-speedup, unless the recording
-    machine lacked the lanes (hw < threads) — then it is skipped."""
-    label, points = load_scale_baseline(args.baseline, args.label)
-    print(f"baseline: {args.baseline} [{label}]  "
-          f"min {args.threads}-thread speedup x{args.min_speedup}")
-    checked = 0
-    skipped = 0
-    failures = []
-    for key in sorted(points):
-        protocol, vehicles, shards, threads = key
-        if threads < args.threads:
-            continue
-        name = f"{protocol} N={vehicles} shards={shards} threads={threads}"
-        info = points[key]
-        serial = points.get((protocol, vehicles, 1, 1))
-        if serial is None:
-            print(f"  {name:36s} SKIP (no serial shards=1 threads=1 sibling)")
-            skipped += 1
-            continue
-        hw = info["hw"]
-        if hw is None or hw < threads:
-            lanes = "unrecorded" if hw is None else str(hw)
-            print(f"  {name:36s} SKIP (recorded on {lanes} hw lane(s) "
-                  f"< {threads} threads)")
-            skipped += 1
-            continue
-        serial_rate = serial["rate"]
-        speedup = (info["rate"] / serial_rate if serial_rate > 0
-                   else float("inf"))
-        flag = "  FAIL" if speedup < args.min_speedup else ""
-        print(f"  {name:36s} {serial_rate:>12.0f} -> {info['rate']:<12.0f} "
-              f"ev/s (x{speedup:.2f}){flag}")
-        checked += 1
-        if flag:
-            failures.append((name, speedup))
-
-    if failures:
-        print(f"\n{len(failures)} point(s) below the x{args.min_speedup} "
-              f"{args.threads}-thread scaling floor:")
-        for name, speedup in failures:
-            print(f"  {name}: x{speedup:.2f}")
-        return 1
-    if checked == 0:
-        print(f"\nno gateable threaded points ({skipped} skipped) — "
-              f"efficiency gate is a no-op on this baseline.")
-        return 0
-    print(f"\nscaling efficiency ok ({checked} checked, {skipped} skipped).")
     return 0
 
 
@@ -336,8 +266,7 @@ def check_nas(args):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bench-binary", default="",
-                        help="path to the bench executable (required except "
-                             "in --efficiency mode)")
+                        help="path to the bench executable (required)")
     parser.add_argument("--baseline", default="BENCH_micro.json",
                         help="checked-in baseline file (default "
                              "BENCH_micro.json)")
@@ -351,24 +280,9 @@ def main():
                         help="--benchmark_min_time seconds (default 0.01)")
     parser.add_argument("--scale", action="store_true",
                         help="gate bench_scale throughput per (protocol, "
-                             "vehicles, shards) instead of bench_micro "
-                             "ns/op")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="--scale mode: shard count for the sharded "
-                             "variant of each sweep point (default 4)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="--scale mode: executor lanes for the threaded "
-                             "variant of each sweep point; --efficiency "
-                             "mode: thread count the gate audits "
-                             "(default 1 / 4)")
-    parser.add_argument("--efficiency", action="store_true",
-                        help="audit the checked-in scale baseline for "
-                             "threaded scaling efficiency; runs no "
-                             "benchmark")
+                             "vehicles) instead of bench_micro ns/op")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="--efficiency mode: minimum threaded/serial "
-                             "events_per_s ratio (default 2.0); --nas "
-                             "mode: minimum SoA-vs-seed ns/op ratio "
+                        help="--nas mode: minimum SoA-vs-seed ns/op ratio "
                              "(default 3.0)")
     parser.add_argument("--nas", action="store_true",
                         help="gate the SoA mobility kernel's speedup over "
@@ -387,19 +301,8 @@ def main():
         if args.min_speedup <= 0:
             sys.exit("bench_check: --min-speedup must be > 0")
         return check_nas(args)
-    if args.efficiency:
-        if args.baseline == "BENCH_micro.json":
-            args.baseline = "BENCH_scale.json"
-        if args.threads == 1:
-            args.threads = 4
-        if args.min_speedup is None:
-            args.min_speedup = 2.0
-        if args.min_speedup <= 0:
-            sys.exit("bench_check: --min-speedup must be > 0")
-        return check_efficiency(args)
     if not args.bench_binary:
-        sys.exit("bench_check: --bench-binary is required outside "
-                 "--efficiency mode")
+        sys.exit("bench_check: --bench-binary is required")
     if args.scale:
         if args.baseline == "BENCH_micro.json":
             args.baseline = "BENCH_scale.json"
