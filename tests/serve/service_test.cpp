@@ -171,10 +171,12 @@ TEST(JobServiceTest, CrashMidCampaignRecoversWithoutDoubleSimulation) {
     // Interrupt after at least one unit completed. stop() writes no
     // terminal journal records — on-disk state is exactly what SIGKILL
     // would leave (modulo the torn tail, covered by the journal tests).
+    // Poll tightly: a unit takes a few milliseconds, so a coarse poll
+    // can sleep through the rest of the campaign.
     while (true) {
       const obs::JsonValue status = service.job_status(job);
       if (status.find("units_done")->number >= 2.0) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     service.stop();
     executed_before = service.stats().counter("serve.units.executed");
