@@ -437,10 +437,26 @@ ScenarioSpec parse_scenario(const obs::JsonValue& value,
     // The kernel has no parallelism settings any more: one event queue,
     // and a strip count the channel derives from the world
     // (docs/SCALING.md "Channel strips"). The old keys still parse, are
-    // range-checked as before so a spec that was valid stays valid, and
-    // are ignored with one warning each.
+    // range-checked as before so a spec that was valid stays valid (and
+    // one that mixed a flat key with the block stays rejected), and are
+    // ignored with one warning each.
+    const bool has_block = er.has("parallel");
     const auto deprecated = [&](const std::string& key) {
       if (!er.has(key)) return false;
+      if (key != "parallel" && has_block) {
+        // The reader path carries the file-name prefix; the suggestion
+        // re-anchors at "$" so the diagnostic names the file only once.
+        std::string block = er.member_path("parallel");
+        if (const auto dollar = block.find("$.");
+            dollar != std::string::npos) {
+          block.erase(0, dollar);
+        }
+        const std::string modern = key == "shard_epoch_s" ? "epoch_s" : key;
+        throw SpecError(er.member_path(key) + ": deprecated alias of " +
+                        block + "." + modern +
+                        "; remove it — the spec already has a "
+                        "\"parallel\" block");
+      }
       log_line(LogLevel::kWarn, "spec",
                er.member_path(key) +
                    " is deprecated and ignored: the kernel derives its "

@@ -167,6 +167,35 @@ TEST(GoldenEquivalenceTest, Fig8SpecMatchesHardcodedDriverAtAnyJobs) {
   }
 }
 
+TEST(GoldenEquivalenceTest, Fig8ShardedExampleSpecMatchesGoldenCsv) {
+  // The former examples/specs/fig8_sharded.json, kept verbatim as a
+  // legacy fixture: its flat engine.shards key is a deprecated no-op, so
+  // it must produce the exact CSV of the plain Fig. 8 run — the spec
+  // differs only in output names.
+  const CampaignSpec spec = load_campaign_file(
+      CAVENET_SOURCE_DIR "/tests/spec/legacy/fig8_sharded.json");
+  ASSERT_EQ(spec.kind, SpecKind::kGoodputSurface);
+
+  const fs::path dir = fresh_dir("golden_fig8_sharded_example");
+  run_spec_into(spec, /*jobs=*/1, dir);
+  EXPECT_EQ(slurp(dir / "goodput_AODV_sharded.csv"),
+            hardcoded_fig8_aodv().csv);
+}
+
+TEST(GoldenEquivalenceTest, Fig8ParallelExampleSpecMatchesGoldenCsv) {
+  // The former examples/specs/fig8_parallel.json, kept verbatim as a
+  // legacy fixture: its engine.parallel block (shards + threads) is a
+  // deprecated no-op and must reproduce the Fig. 8 CSV byte-for-byte.
+  const CampaignSpec spec = load_campaign_file(
+      CAVENET_SOURCE_DIR "/tests/spec/legacy/fig8_parallel.json");
+  ASSERT_EQ(spec.kind, SpecKind::kGoodputSurface);
+
+  const fs::path dir = fresh_dir("golden_fig8_parallel_example");
+  run_spec_into(spec, /*jobs=*/1, dir);
+  EXPECT_EQ(slurp(dir / "goodput_AODV_parallel.csv"),
+            hardcoded_fig8_aodv().csv);
+}
+
 TEST(GoldenEquivalenceTest, Fig4SpecMatchesHardcodedDriverAtAnyJobs) {
   const CampaignSpec spec =
       load_campaign_file(CAVENET_SPEC_DIR "/fig4_fundamental_diagram.json");

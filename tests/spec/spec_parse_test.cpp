@@ -111,19 +111,25 @@ TEST(SpecParseTest, EngineParallelParsesAndDefaults) {
 
 TEST(SpecParseTest, EngineLegacyShardKeysAliasTheParallelBlock) {
   // Pre-ParallelConfig specs spelled the knobs flat on `engine`; like
-  // the block they parse as no-ops with one warning per key, alone or
-  // mixed with the block.
+  // the block they parse as no-ops with one warning per key.
   EXPECT_EQ(deprecation_warnings(R"({
     "name": "t", "kind": "campaign",
     "scenario": {"engine": {"shards": 4, "shard_epoch_s": 0.5,
                             "threads": 2}}
   })"),
             3);
-  EXPECT_EQ(deprecation_warnings(R"({
+}
+
+TEST(SpecParseTest, EngineLegacyKeyMixedWithParallelBlockIsRejected) {
+  const std::string what = error_of(R"({
     "name": "t", "kind": "campaign",
     "scenario": {"engine": {"parallel": {"shards": 2}, "shards": 4}}
-  })"),
-            2);
+  })");
+  EXPECT_NE(what.find("$.scenario.engine.shards"), std::string::npos) << what;
+  EXPECT_NE(what.find("deprecated alias"), std::string::npos) << what;
+  EXPECT_NE(what.find("$.scenario.engine.parallel.shards"),
+            std::string::npos)
+      << what;
 }
 
 TEST(SpecParseTest, DeprecatedEngineKeysRunByteIdenticalToFig8Aodv) {
