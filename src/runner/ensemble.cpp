@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "util/cli_args.h"
 
@@ -13,9 +14,19 @@ int resolve_jobs(int requested) noexcept {
   return exec::resolve_workers(requested);
 }
 
+int checked_jobs(std::int64_t requested) {
+  if (requested < 0 || requested > kMaxJobs) {
+    throw std::invalid_argument("--jobs " + std::to_string(requested) +
+                                " is out of range [0, " +
+                                std::to_string(kMaxJobs) +
+                                "] (0 = one worker per hardware thread)");
+  }
+  return static_cast<int>(requested);
+}
+
 int parse_jobs_flag(int argc, const char* const* argv) {
   const CliArgs args(argc, argv);
-  const auto jobs = static_cast<int>(args.get_int("jobs", 1));
+  const int jobs = checked_jobs(args.get_int("jobs", 1));
   args.reject_unknown_flags();
   return resolve_jobs(jobs);
 }

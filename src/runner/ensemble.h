@@ -41,10 +41,19 @@ namespace cavenet::runner {
 /// thread" (never less than 1). Same rule as exec::resolve_workers.
 int resolve_jobs(int requested) noexcept;
 
-/// Parses the standard ensemble-bench command line: `--jobs N` (N <= 0
-/// resolves to the hardware thread count; default 1, the serial
-/// behaviour). Throws std::invalid_argument on unknown or malformed
-/// flags so typos fail loudly instead of silently running serial.
+/// Largest --jobs request accepted: every worker is one OS thread.
+inline constexpr std::int64_t kMaxJobs = 1024;
+
+/// Validates a --jobs request before anything narrows or resolves it:
+/// N must lie in [0, kMaxJobs] (0 = one worker per hardware thread).
+/// Returns N; throws std::invalid_argument naming the flag otherwise.
+int checked_jobs(std::int64_t requested);
+
+/// Parses the standard ensemble-bench command line: `--jobs N` (N in
+/// [0, kMaxJobs]; 0 resolves to the hardware thread count; default 1,
+/// the serial behaviour). Throws std::invalid_argument on unknown,
+/// malformed or out-of-range flags so typos fail loudly instead of
+/// silently running serial.
 int parse_jobs_flag(int argc, const char* const* argv);
 
 struct EnsembleOptions {

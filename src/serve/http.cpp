@@ -175,13 +175,13 @@ void HttpServer::stop() {
     ::close(listener);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> workers;
+  std::vector<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(threads_mutex_);
-    workers.swap(connection_threads_);
+    connections.swap(connections_);
   }
-  for (std::thread& worker : workers) {
-    if (worker.joinable()) worker.join();
+  for (Connection& connection : connections) {
+    if (connection.thread.joinable()) connection.thread.join();
   }
 }
 
@@ -197,7 +197,24 @@ void HttpServer::accept_loop() {
       ::close(fd);
       return;
     }
-    connection_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    // Join the connections that already finished, so a long-lived
+    // daemon holds one thread per open connection rather than one
+    // unjoined thread (and its stack) per request ever served.
+    for (Connection& connection : connections_) {
+      if (connection.done->load(std::memory_order_acquire)) {
+        connection.thread.join();
+      }
+    }
+    std::erase_if(connections_, [](const Connection& connection) {
+      return !connection.thread.joinable();
+    });
+    auto done = std::make_unique<std::atomic<bool>>(false);
+    std::atomic<bool>* flag = done.get();
+    connections_.push_back({std::thread([this, fd, flag] {
+                              serve_connection(fd);
+                              flag->store(true, std::memory_order_release);
+                            }),
+                            std::move(done)});
   }
 }
 

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -98,8 +99,16 @@ class HttpServer {
   int port_ = 0;
   std::thread accept_thread_;
 
+  /// One connection thread; `done` flips when serve_connection returns,
+  /// so accept_loop can join it before spawning the next one. Heap-held
+  /// so the flag outlives moves of the vector.
+  struct Connection {
+    std::thread thread;
+    std::unique_ptr<std::atomic<bool>> done;
+  };
+
   std::mutex threads_mutex_;
-  std::vector<std::thread> connection_threads_;
+  std::vector<Connection> connections_;
   bool stopping_ = false;
 };
 

@@ -25,6 +25,12 @@ namespace {
 /// Seed material for the campaign's master stream ("camp").
 constexpr std::uint64_t kCampaignStream = 0x63616d70;
 
+/// Point-manifest metrics the campaign CSV carries, in column order.
+constexpr const char* kCsvMetrics[] = {
+    "tx_packets", "rx_packets", "pdr", "mean_delay_s", "mean_hop_count",
+    "control_packets", "control_bytes", "mac_collisions", "mac_retries",
+    "channel_utilization", "route_discoveries"};
+
 std::string render_value(const obs::JsonValue& value) {
   return value.is_string() ? value.string : obs::to_json(value);
 }
@@ -79,7 +85,8 @@ std::vector<CampaignPoint> expand_points(const CampaignSpec& spec) {
   for (const SweepAxis& axis : spec.sweep.axes) cells *= axis.values.size();
   const auto reps = static_cast<std::size_t>(spec.sweep.replications);
 
-  const Rng master(spec.scenario.config.seed, kCampaignStream);
+  const Rng replication_rng =
+      Rng(spec.scenario.config.seed, kCampaignStream).substream(0);
   std::vector<CampaignPoint> points;
   points.reserve(cells * reps);
   for (std::size_t cell = 0; cell < cells; ++cell) {
@@ -112,7 +119,6 @@ std::vector<CampaignPoint> expand_points(const CampaignSpec& spec) {
                       "introduce a sender range");
     }
 
-    const Rng cell_rng = master.substream(cell);
     for (std::size_t rep = 0; rep < reps; ++rep) {
       CampaignPoint point;
       point.index = cell * reps + rep;
@@ -120,9 +126,11 @@ std::vector<CampaignPoint> expand_points(const CampaignSpec& spec) {
       point.replication = rep;
       point.axis_values = axis_values;
       point.scenario = cell_scenario;
-      // Counter-based: depends only on (base seed, cell, rep), never on
-      // execution order — resumed and fresh runs agree byte-for-byte.
-      point.scenario.config.seed = cell_rng.substream(rep).next_u64();
+      // Keyed on the replication alone: the cells of one replication
+      // share a seed (paired comparisons with common random numbers)
+      // while replications stay independent. Never keyed on execution
+      // order, so resumed and fresh runs agree byte-for-byte.
+      point.scenario.config.seed = replication_rng.substream(rep).next_u64();
       points.push_back(std::move(point));
     }
   }
@@ -157,6 +165,8 @@ PointArtifacts run_campaign_point(const CampaignSpec& spec,
   manifest_config.obs.stats = point.scenario.collect_stats ? &stats : nullptr;
   obs::RunManifest manifest =
       make_run_manifest(point_name, manifest_config, {result});
+  manifest.set_metric("route_discoveries",
+                      static_cast<double>(result.route_discoveries));
   manifest.set_param("spec_name", spec.name);
   manifest.set_param("spec_fingerprint", spec.fingerprint);
   manifest.set_param("point_index", static_cast<std::int64_t>(point.index));
@@ -206,12 +216,8 @@ void write_campaign_outputs(const CampaignSpec& spec,
   // so resumed and uninterrupted campaigns serialize identically.
   std::vector<std::string> columns{"point", "cell", "replication"};
   for (const SweepAxis& axis : spec.sweep.axes) columns.push_back(axis.param);
-  for (const char* metric :
-       {"seed", "tx_packets", "rx_packets", "pdr", "mean_delay_s",
-        "mean_hop_count", "control_packets", "control_bytes",
-        "mac_collisions", "mac_retries", "channel_utilization"}) {
-    columns.emplace_back(metric);
-  }
+  columns.emplace_back("seed");
+  for (const char* metric : kCsvMetrics) columns.emplace_back(metric);
   TableWriter csv(columns);
   double pdr_sum = 0.0, pdr_min = 1e308, pdr_max = 0.0;
   for (const CampaignPoint& point : points) {
@@ -229,10 +235,7 @@ void write_campaign_outputs(const CampaignSpec& spec,
     // goes through a JSON double, which cannot represent a full 64-bit
     // substream seed exactly.
     row.push_back(std::to_string(point.scenario.config.seed));
-    for (const char* metric :
-         {"tx_packets", "rx_packets", "pdr", "mean_delay_s",
-          "mean_hop_count", "control_packets", "control_bytes",
-          "mac_collisions", "mac_retries", "channel_utilization"}) {
+    for (const char* metric : kCsvMetrics) {
       row.push_back(manifest.metric(metric));
     }
     csv.add_row(std::move(row));

@@ -5,7 +5,10 @@
 // slowest) times `replications`. Each point patches the base scenario
 // JSON with its axis values, re-parses (so every point is validated with
 // the same diagnostics as the base), and draws its seed from a
-// counter-based substream keyed on (cell, replication) — never on
+// counter-based substream keyed on the replication alone: every cell of
+// one replication runs at the same seed, so the cells of a sweep are
+// paired comparisons over identical mobility and traffic (common random
+// numbers), while replications stay independent. Seeds never depend on
 // execution order, so any --jobs value and any resume pattern produce
 // identical artifacts.
 //
@@ -41,7 +44,7 @@ struct CampaignPoint {
   /// ("mobility.vehicles" -> "40").
   std::vector<std::pair<std::string, std::string>> axis_values;
   /// Patched, re-validated scenario; config.seed is already the derived
-  /// per-point substream seed.
+  /// per-replication substream seed.
   ScenarioSpec scenario;
 };
 

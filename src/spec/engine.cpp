@@ -60,7 +60,7 @@ int bench_spec_main(const std::string& path, int argc,
     const CliArgs args(argc, argv);
     RunOptions options;
     options.jobs =
-        runner::resolve_jobs(static_cast<int>(args.get_int("jobs", 1)));
+        runner::resolve_jobs(runner::checked_jobs(args.get_int("jobs", 1)));
     args.reject_unknown_flags();
     return run_spec_file(path, options);
   } catch (const std::exception& e) {

@@ -27,7 +27,7 @@ namespace cavenet::spec {
 /// defaults): old checkpoints and cache entries then read as stale
 /// everywhere fingerprints are compared, instead of being replayed as
 /// results the current binary can no longer reproduce.
-inline constexpr std::uint32_t kEngineSchemaVersion = 1;
+inline constexpr std::uint32_t kEngineSchemaVersion = 2;
 
 /// 64-bit FNV-1a over `bytes`.
 std::uint64_t fnv1a64(std::string_view bytes) noexcept;

@@ -430,6 +430,18 @@ ScenarioSpec parse_scenario(const obs::JsonValue& value,
   if (const obs::JsonValue* v = r.find("routing")) {
     ObjectReader rr(*v, r.member_path("routing"));
     config.protocol = parse_protocol(rr);
+    if (rr.has("hello_interval_s")) {
+      if (config.protocol == scenario::Protocol::kDsdv) {
+        throw SpecError(rr.member_path("hello_interval_s") +
+                        ": DSDV sends no hellos; the key applies to aodv, "
+                        "olsr and dymo");
+      }
+      const SimTime hello = SimTime::from_seconds(
+          rr.get_double("hello_interval_s", 1.0, 1e-3, 3600.0));
+      config.protocol_options.aodv.hello_interval = hello;
+      config.protocol_options.olsr.hello_interval = hello;
+      config.protocol_options.dymo.hello_interval = hello;
+    }
     rr.finish();
   }
   if (const obs::JsonValue* v = r.find("engine")) {

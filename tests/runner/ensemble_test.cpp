@@ -40,6 +40,22 @@ TEST(ParseJobsFlagTest, ZeroResolvesToHardwareThreads) {
   EXPECT_GE(parse_jobs_flag(3, argv), 1);
 }
 
+TEST(CheckedJobsTest, AcceptsZeroThroughTheCapOnly) {
+  EXPECT_EQ(checked_jobs(0), 0);
+  EXPECT_EQ(checked_jobs(kMaxJobs), 1024);
+  // Checked before narrowing to int: 2^32 + 4 must not wrap to 4.
+  for (const std::int64_t jobs :
+       {std::int64_t{-1}, kMaxJobs + 1, (std::int64_t{1} << 32) + 4}) {
+    EXPECT_THROW(checked_jobs(jobs), std::invalid_argument) << jobs;
+  }
+}
+
+TEST(ParseJobsFlagTest, OutOfRangeCountThrows) {
+  // Parsing only: the validator rejects the count before any pool exists.
+  const char* argv[] = {"bench", "--jobs", "100000"};
+  EXPECT_THROW(parse_jobs_flag(3, argv), std::invalid_argument);
+}
+
 TEST(ParseJobsFlagTest, UnknownFlagThrows) {
   const char* argv[] = {"bench", "--jbos", "4"};
   EXPECT_THROW(parse_jobs_flag(3, argv), std::invalid_argument);

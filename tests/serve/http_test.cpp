@@ -1,5 +1,7 @@
 // Embedded HTTP server: request parsing, routing helpers, size limits,
 // and chunked streaming — over real loopback sockets.
+#include <cstdint>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -112,6 +114,31 @@ TEST(HttpServerTest, StopJoinsCleanly) {
   EXPECT_EQ(http_request(port, "GET", "/ok").status, 200);
   server->stop();
   EXPECT_THROW(http_request(port, "GET", "/gone"), std::runtime_error);
+}
+
+// This process's virtual size in KiB (the VmSize line of
+// /proc/self/status), or 0 when it cannot be read.
+std::int64_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(HttpServerTest, SequentialRequestsDoNotAccumulateThreads) {
+  HttpServer server([](const HttpRequest&) { return HttpResponse{}; },
+                    HttpServerOptions{});
+  ASSERT_EQ(http_request(server.port(), "GET", "/warmup").status, 200);
+  const std::int64_t before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_EQ(http_request(server.port(), "GET", "/ping").status, 200);
+  }
+  // An unjoined connection thread keeps its 8 MiB stack mapped, so 300
+  // of them would grow the process by about 2.4 GiB.
+  EXPECT_LT(vm_size_kib() - before, 256 * 1024);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "spec/campaign.h"
 
-#include <set>
 #include <string>
 
 #include "util/rng.h"
@@ -61,20 +60,20 @@ TEST(CampaignExpandTest, PointsCarryThePatchedScenario) {
   EXPECT_EQ(points[11].scenario.config.sender, 4u);
 }
 
-TEST(CampaignExpandTest, SeedsAreSubstreamDerivedNotOrderDerived) {
+TEST(CampaignExpandTest, CellsOfOneReplicationShareASeed) {
   const CampaignSpec spec = parse_campaign(kSweepSpec, "test.json");
   const auto points = expand_points(spec);
-
-  std::set<std::uint64_t> seeds;
   for (const CampaignPoint& point : points) {
-    // Keyed on (cell, replication) from the campaign master stream.
+    // Keyed on the replication alone, so every cell is a paired
+    // comparison over the same mobility and traffic.
     const Rng master(spec.scenario.config.seed, 0x63616d70);
     const std::uint64_t expected =
-        master.substream(point.cell).substream(point.replication).next_u64();
+        master.substream(0).substream(point.replication).next_u64();
     EXPECT_EQ(point.scenario.config.seed, expected) << "point " << point.index;
-    seeds.insert(point.scenario.config.seed);
+    EXPECT_EQ(point.scenario.config.seed,
+              points[point.replication].scenario.config.seed)
+        << "point " << point.index << " vs cell 0";
   }
-  EXPECT_EQ(seeds.size(), points.size()) << "per-point seeds must be distinct";
 
   // Expansion is a pure function of the spec.
   const auto again = expand_points(parse_campaign(kSweepSpec, "test.json"));
@@ -82,6 +81,30 @@ TEST(CampaignExpandTest, SeedsAreSubstreamDerivedNotOrderDerived) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(again[i].scenario.config.seed, points[i].scenario.config.seed);
   }
+}
+
+TEST(CampaignExpandTest, ReplicationsGetDistinctSeeds) {
+  const auto points = expand_points(parse_campaign(kSweepSpec, "test.json"));
+  for (std::size_t i = 0; i < points.size(); i += 2) {
+    EXPECT_NE(points[i].scenario.config.seed,
+              points[i + 1].scenario.config.seed)
+        << "cell " << points[i].cell;
+  }
+}
+
+TEST(CampaignExpandTest, NoAxisSeedsArePinned) {
+  // A campaign without sweep axes is one cell; its per-replication seeds
+  // are pinned so served jobs and caches keep their results.
+  const CampaignSpec spec = parse_campaign(R"({
+    "name": "plain", "kind": "campaign",
+    "scenario": {"seed": 3},
+    "sweep": {"replications": 3}
+  })", "test.json");
+  const auto points = expand_points(spec);
+  ASSERT_EQ(points.size(), 3u);
+  EXPECT_EQ(points[0].scenario.config.seed, 12089260408961488658ull);
+  EXPECT_EQ(points[1].scenario.config.seed, 13674776632271146870ull);
+  EXPECT_EQ(points[2].scenario.config.seed, 10177678906945588213ull);
 }
 
 TEST(CampaignExpandTest, PatchedPointsAreRevalidated) {

@@ -286,6 +286,21 @@ TEST(SpecParseTest, GoodputSurfaceAcceptsSenderRange) {
   EXPECT_EQ(spec.scenario.last_sender, 6u);
 }
 
+TEST(SpecParseTest, HelloIntervalSetsEveryHelloProtocolButNotDsdv) {
+  const scenario::ProtocolOptions options =
+      parse_campaign(R"({"name": "t", "kind": "campaign", "scenario":
+          {"routing": {"protocol": "olsr", "hello_interval_s": 2.5}}})",
+                     "test.json")
+          .scenario.config.protocol_options;
+  EXPECT_EQ(options.aodv.hello_interval, SimTime::milliseconds(2500));
+  EXPECT_EQ(options.olsr.hello_interval, SimTime::milliseconds(2500));
+  EXPECT_EQ(options.dymo.hello_interval, SimTime::milliseconds(2500));
+  EXPECT_NE(error_of(R"({"name": "t", "kind": "campaign", "scenario":
+          {"routing": {"protocol": "dsdv", "hello_interval_s": 2}}})")
+                .find("$.scenario.routing.hello_interval_s: DSDV sends no"),
+            std::string::npos);
+}
+
 TEST(SpecParseTest, SweepingTheSeedIsRejected) {
   EXPECT_NE(error_of(R"({"name": "t", "kind": "campaign", "scenario": {},
                          "sweep": {"axes": [{"param": "seed",

@@ -5,6 +5,8 @@
 //   cavenet-run --validate spec.json...      parse + validate only
 //   cavenet-run --list-points spec.json      print a campaign's expansion
 //   cavenet-run spec.json --jobs N           ensemble workers per spec
+//                                            (0..1024, 0 = per hardware
+//                                            thread)
 //   cavenet-run spec.json --resume           trust matching checkpoints
 //   cavenet-run spec.json --output-dir DIR   artifact prefix
 //   cavenet-run spec.json --progress         live per-point events +
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "runner/ensemble.h"
 #include "spec/campaign.h"
 #include "spec/engine.h"
 #include "spec/spec.h"
@@ -88,23 +91,23 @@ int main(int argc, char** argv) {
   // Boolean switches must not bind the following spec path as a value.
   const CliArgs args(argc, argv,
                      {"resume", "validate", "list-points", "progress"});
-  spec::RunOptions options;
-  options.jobs = static_cast<int>(args.get_int("jobs", 1));
-  options.resume = args.get_bool("resume", false);
-  options.output_dir = args.get_string("output-dir", "");
-  options.progress = args.get_bool("progress", false);
-  options.progress_period_s = args.get_double("progress-period", 5.0);
-  const bool validate_only = args.get_bool("validate", false);
-  const bool list_only = args.get_bool("list-points", false);
-  const std::vector<std::string>& specs = args.positional();
-
-  for (const std::string& flag : args.unknown_flags()) {
-    std::fprintf(stderr, "%s\n", args.describe_unknown(flag).c_str());
-    return 2;
-  }
-  if (specs.empty()) return usage();
-
   try {
+    spec::RunOptions options;
+    options.jobs = runner::checked_jobs(args.get_int("jobs", 1));
+    options.resume = args.get_bool("resume", false);
+    options.output_dir = args.get_string("output-dir", "");
+    options.progress = args.get_bool("progress", false);
+    options.progress_period_s = args.get_double("progress-period", 5.0);
+    const bool validate_only = args.get_bool("validate", false);
+    const bool list_only = args.get_bool("list-points", false);
+    const std::vector<std::string>& specs = args.positional();
+
+    for (const std::string& flag : args.unknown_flags()) {
+      std::fprintf(stderr, "%s\n", args.describe_unknown(flag).c_str());
+      return 2;
+    }
+    if (specs.empty()) return usage();
+
     if (validate_only) return validate(specs);
     if (list_only) {
       for (const std::string& path : specs) {
