@@ -1,8 +1,9 @@
 #include "routing/olsr.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
+#include <tuple>
 #include <utility>
 
 namespace cavenet::routing::olsr {
@@ -127,8 +128,13 @@ void OlsrProtocol::hello_timer() {
 
 void OlsrProtocol::etx_window_rollover() {
   for (auto& [addr, link] : links_) {
-    link.ni = std::min(1.0, static_cast<double>(link.hellos_in_window) /
-                                static_cast<double>(params_.etx_window));
+    const double ni =
+        std::min(1.0, static_cast<double>(link.hellos_in_window) /
+                          static_cast<double>(params_.etx_window));
+    if (ni != link.ni) {
+      link.ni = ni;
+      routes_dirty_ = true;
+    }
     link.hellos_in_window = 0;
   }
 }
@@ -180,15 +186,20 @@ void OlsrProtocol::handle_hello(const HelloHeader& hello, NodeId from) {
   LinkTuple& link = links_[from];
   link.asym_until = sim_->now() + hold;
   ++link.hellos_in_window;
+  // Without ETX, ni enters no route cost: not a route input.
   if (!params_.use_etx) link.ni = 1.0;
 
   bool lists_me = false;
   for (const auto& entry : hello.neighbors) {
     if (entry.addr == address()) {
       lists_me = true;
-      link.lqi = params_.use_etx
-                     ? static_cast<double>(entry.link_quality) / 255.0
-                     : 1.0;
+      const double lqi = params_.use_etx
+                             ? static_cast<double>(entry.link_quality) / 255.0
+                             : 1.0;
+      if (lqi != link.lqi) {
+        link.lqi = lqi;
+        routes_dirty_ = true;
+      }
       // The neighbour selected us as MPR: record selector.
       if (entry.code == LinkCode::kMpr) {
         const bool is_new = !mpr_selectors_.contains(from);
@@ -197,7 +208,10 @@ void OlsrProtocol::handle_hello(const HelloHeader& hello, NodeId from) {
       }
     }
   }
-  if (lists_me) link.sym_until = sim_->now() + hold;
+  if (lists_me) {
+    if (link.sym_until <= sim_->now()) routes_dirty_ = true;  // turns sym
+    link.sym_until = sim_->now() + hold;
+  }
 
   // 2-hop neighbourhood: symmetric neighbours of a symmetric neighbour.
   if (link.sym_until > sim_->now()) {
@@ -229,10 +243,12 @@ void OlsrProtocol::handle_tc(Packet packet, const TcHeader& tc, NodeId from) {
     duplicates_[key] = sim_->now() + params_.duplicate_hold;
 
     // Purge older ANSN tuples from this origin, then record the new set.
-    std::erase_if(topology_, [&](const TopologyTuple& t) {
-      return t.last_hop == tc.origin &&
-             static_cast<std::int16_t>(tc.ansn - t.ansn) > 0;
-    });
+    if (std::erase_if(topology_, [&](const TopologyTuple& t) {
+          return t.last_hop == tc.origin &&
+                 static_cast<std::int16_t>(tc.ansn - t.ansn) > 0;
+        }) > 0) {
+      routes_dirty_ = true;
+    }
     for (const auto& adv : tc.advertised) {
       const auto match = std::find_if(
           topology_.begin(), topology_.end(), [&](const TopologyTuple& t) {
@@ -242,12 +258,18 @@ void OlsrProtocol::handle_tc(Packet packet, const TcHeader& tc, NodeId from) {
           params_.use_etx ? static_cast<double>(adv.link_quality) / 255.0
                           : 1.0;
       if (match != topology_.end()) {
+        // A refresh changes the routes only if the tuple had expired
+        // (unused by the last calculation) or its cost moved.
+        if (match->expires <= sim_->now() || match->quality != quality) {
+          routes_dirty_ = true;
+        }
         match->ansn = tc.ansn;
         match->expires = sim_->now() + params_.topology_hold();
         match->quality = quality;
       } else {
         topology_.push_back({adv.addr, tc.origin, tc.ansn,
                              sim_->now() + params_.topology_hold(), quality});
+        routes_dirty_ = true;
       }
     }
     compute_routes();
@@ -348,17 +370,22 @@ void OlsrProtocol::handle_hna(const HnaHeader& hna, NodeId from) {
 
 void OlsrProtocol::expire_state() {
   const SimTime now = sim_->now();
-  std::erase_if(links_, [&](const auto& kv) {
-    return kv.second.sym_until <= now && kv.second.asym_until <= now;
-  });
+  if (std::erase_if(links_, [&](const auto& kv) {
+        return kv.second.sym_until <= now && kv.second.asym_until <= now;
+      }) > 0) {
+    routes_dirty_ = true;
+  }
   std::erase_if(two_hop_,
                 [&](const TwoHopTuple& t) { return t.expires <= now; });
   const std::size_t selectors_before = mpr_selectors_.size();
   std::erase_if(mpr_selectors_,
                 [&](const auto& kv) { return kv.second <= now; });
   if (mpr_selectors_.size() != selectors_before) ++ansn_;
-  std::erase_if(topology_,
-                [&](const TopologyTuple& t) { return t.expires <= now; });
+  if (std::erase_if(topology_, [&](const TopologyTuple& t) {
+        return t.expires <= now;
+      }) > 0) {
+    routes_dirty_ = true;
+  }
   std::erase_if(hna_associations_,
                 [&](const HnaTuple& t) { return t.expires <= now; });
   std::erase_if(duplicates_,
@@ -418,60 +445,91 @@ void OlsrProtocol::select_mprs() {
 }
 
 void OlsrProtocol::compute_routes() {
-  // Dijkstra over sym links + topology edges. Cost is 1 per hop, or ETX
-  // when the LQ extension is active.
-  table_.clear();
   const SimTime now = sim_->now();
+  if (!routes_dirty_ && now < routes_valid_until_) return;
+  routes_dirty_ = false;
+  routes_valid_until_ = SimTime::max();
 
-  struct Item {
-    double cost;
-    std::uint32_t hops;
-    NodeId node;
-    NodeId first_hop;
-    bool operator>(const Item& other) const { return cost > other.cost; }
+  // Dijkstra over sym links + topology edges. Cost is 1 per hop, or ETX
+  // when the LQ extension is active. The frontier is a binary heap driven
+  // exactly as std::priority_queue drives it, so equal-cost ties pop in
+  // the same order.
+  constexpr double kUnreached = std::numeric_limits<double>::infinity();
+  const auto push = [this](FrontierItem item) {
+    frontier_.push_back(item);
+    std::push_heap(frontier_.begin(), frontier_.end(), std::greater<>{});
   };
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> frontier;
-  std::map<NodeId, double> best_cost;
-
+  frontier_.clear();
+  nodes_.clear();
   for (const auto& [addr, link] : links_) {
     if (link.sym_until <= now) continue;
+    routes_valid_until_ = std::min(routes_valid_until_, link.sym_until);
     const double cost = params_.use_etx ? link_etx(addr) : 1.0;
-    if (cost == std::numeric_limits<double>::infinity()) continue;
-    frontier.push({cost, 1, addr, addr});
+    if (cost == kUnreached) continue;
+    push({cost, 1, addr, addr});
+    nodes_.push_back(addr);
   }
 
-  // Adjacency from the topology set: last_hop -> dest.
-  std::map<NodeId, std::vector<std::pair<NodeId, double>>> adjacency;
+  // Adjacency from the topology set: last_hop -> dest, each last_hop's
+  // edges in topology-set order (a stable sort; the order key makes
+  // std::sort stable without std::stable_sort's scratch allocation).
+  edges_.clear();
   for (const auto& t : topology_) {
     if (t.expires <= now) continue;
+    routes_valid_until_ = std::min(routes_valid_until_, t.expires);
     const double cost =
         params_.use_etx ? (t.quality > 0.0 ? 1.0 / t.quality : 0.0) : 1.0;
-    if (cost <= 0.0) continue;
-    adjacency[t.last_hop].push_back({t.dest, cost});
+    if (cost <= 0.0 || t.dest == address()) continue;
+    edges_.push_back({t.last_hop, static_cast<std::uint32_t>(edges_.size()),
+                      t.dest, cost});
+    nodes_.push_back(t.dest);
+  }
+  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.last_hop, a.order) < std::tie(b.last_hop, b.order);
+  });
+  std::sort(nodes_.begin(), nodes_.end());
+  nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
+  reached_.assign(nodes_.size(), {kUnreached, 0, 0});
+
+  while (!frontier_.empty()) {
+    std::pop_heap(frontier_.begin(), frontier_.end(), std::greater<>{});
+    const FrontierItem item = frontier_.back();
+    frontier_.pop_back();
+    Reached& reached = reached_[static_cast<std::size_t>(
+        std::lower_bound(nodes_.begin(), nodes_.end(), item.node) -
+        nodes_.begin())];
+    // Costs are finite and positive, so a reached node never improves.
+    if (reached.cost <= item.cost) continue;
+    reached = {item.cost, item.first_hop, item.hops};
+
+    for (auto edge = std::lower_bound(
+             edges_.begin(), edges_.end(), item.node,
+             [](const Edge& e, NodeId node) { return e.last_hop < node; });
+         edge != edges_.end() && edge->last_hop == item.node; ++edge) {
+      push({item.cost + edge->cost, item.hops + 1, edge->dest,
+            item.first_hop});
+    }
   }
 
-  while (!frontier.empty()) {
-    const Item item = frontier.top();
-    frontier.pop();
-    if (const auto it = best_cost.find(item.node);
-        it != best_cost.end() && it->second <= item.cost) {
-      continue;
+  // Rewrite the table in place, merging two id-sorted sequences: entries
+  // of destinations still reached are reused rather than reallocated.
+  auto& entries = table_.entries();
+  auto entry = entries.begin();
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (reached_[i].cost == kUnreached) continue;
+    while (entry != entries.end() && entry->first < nodes_[i]) {
+      entry = entries.erase(entry);
     }
-    best_cost[item.node] = item.cost;
-
-    RouteEntry& e = table_.upsert(item.node);
-    e.next_hop = item.first_hop;
-    e.hop_count = item.hops;
-    e.valid = true;
-    e.expires = SimTime::max();
-
-    const auto adj = adjacency.find(item.node);
-    if (adj == adjacency.end()) continue;
-    for (const auto& [dest, cost] : adj->second) {
-      if (dest == address()) continue;
-      frontier.push({item.cost + cost, item.hops + 1, dest, item.first_hop});
+    if (entry == entries.end() || entry->first != nodes_[i]) {
+      entry = entries.emplace_hint(entry, nodes_[i], RouteEntry{});
     }
+    entry->second = RouteEntry{.next_hop = reached_[i].next_hop,
+                               .hop_count = reached_[i].hops,
+                               .valid = true,
+                               .expires = SimTime::max()};
+    ++entry;
   }
+  entries.erase(entry, entries.end());
 }
 
 }  // namespace cavenet::routing::olsr

@@ -8,6 +8,13 @@
 // (ETX) extension from paper Section III-B1 is available behind
 // `use_etx`: link quality is the hello arrival rate per window, ETX(i) =
 // 1 / (NI(i) * LQI(i)), and routes minimize total ETX instead of hops.
+//
+// The routing table is recalculated only when a change is detected
+// (RFC 3626 section 10): a link turning symmetric, an ETX input changing,
+// a topology tuple appearing, vanishing, changing quality or coming back
+// after it expired — or when simulated time reaches the earliest expiry
+// among the links and tuples the last calculation used. Between those
+// events a recalculation would reproduce the same table.
 #ifndef CAVENET_ROUTING_OLSR_H
 #define CAVENET_ROUTING_OLSR_H
 
@@ -148,6 +155,8 @@ class OlsrProtocol final : public RoutingProtocol {
   void expire_state();
   bool link_is_sym(netsim::NodeId neighbor) const;
   void select_mprs();
+  /// Brings the table up to date with the link and topology sets; a no-op
+  /// unless an input changed or a used tuple expired since the last run.
   void compute_routes();
   /// Route to `dst`, falling back to the best HNA gateway.
   const RouteEntry* resolve(netsim::NodeId dst) const;
@@ -170,6 +179,38 @@ class OlsrProtocol final : public RoutingProtocol {
   std::uint16_t ansn_ = 0;
   std::uint16_t message_seq_ = 0;
   std::uint32_t hello_ticks_ = 0;
+
+  /// Set by every mutation of a route input; cleared by compute_routes().
+  bool routes_dirty_ = true;
+  /// Earliest sym_until / topology expiry among what the table was
+  /// computed from: at that instant a used link or tuple drops out.
+  SimTime routes_valid_until_ = SimTime::zero();
+
+  // Route-calculation buffers, reused across calls.
+  struct FrontierItem {
+    double cost;
+    std::uint32_t hops;
+    netsim::NodeId node;
+    netsim::NodeId first_hop;
+    bool operator>(const FrontierItem& other) const {
+      return cost > other.cost;
+    }
+  };
+  struct Edge {
+    netsim::NodeId last_hop;
+    std::uint32_t order;  ///< position in the topology set
+    netsim::NodeId dest;
+    double cost;
+  };
+  struct Reached {
+    double cost;
+    netsim::NodeId next_hop;
+    std::uint32_t hops;
+  };
+  std::vector<FrontierItem> frontier_;  ///< min-heap on cost
+  std::vector<Edge> edges_;             ///< topology edges by last_hop
+  std::vector<netsim::NodeId> nodes_;   ///< sorted ids a route can reach
+  std::vector<Reached> reached_;        ///< parallel to nodes_
 };
 
 }  // namespace cavenet::routing::olsr

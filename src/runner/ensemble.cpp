@@ -14,9 +14,10 @@ int resolve_jobs(int requested) noexcept {
   return exec::resolve_workers(requested);
 }
 
-int checked_jobs(std::int64_t requested) {
+int checked_jobs(std::int64_t requested, std::string_view flag) {
   if (requested < 0 || requested > kMaxJobs) {
-    throw std::invalid_argument("--jobs " + std::to_string(requested) +
+    throw std::invalid_argument(std::string(flag) + " " +
+                                std::to_string(requested) +
                                 " is out of range [0, " +
                                 std::to_string(kMaxJobs) +
                                 "] (0 = one worker per hardware thread)");

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,13 +42,15 @@ namespace cavenet::runner {
 /// thread" (never less than 1). Same rule as exec::resolve_workers.
 int resolve_jobs(int requested) noexcept;
 
-/// Largest --jobs request accepted: every worker is one OS thread.
+/// Largest --jobs (or cavenet-serve --workers) request accepted: every
+/// worker is one OS thread.
 inline constexpr std::int64_t kMaxJobs = 1024;
 
-/// Validates a --jobs request before anything narrows or resolves it:
-/// N must lie in [0, kMaxJobs] (0 = one worker per hardware thread).
-/// Returns N; throws std::invalid_argument naming the flag otherwise.
-int checked_jobs(std::int64_t requested);
+/// Validates a worker-count flag (`--jobs`, `--workers`) before anything
+/// narrows or resolves it: N must lie in [0, kMaxJobs] (0 = one worker
+/// per hardware thread). Returns N; throws std::invalid_argument naming
+/// `flag` otherwise.
+int checked_jobs(std::int64_t requested, std::string_view flag = "--jobs");
 
 /// Parses the standard ensemble-bench command line: `--jobs N` (N in
 /// [0, kMaxJobs]; 0 resolves to the hardware thread count; default 1,

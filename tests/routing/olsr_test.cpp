@@ -164,6 +164,82 @@ TEST(OlsrTest, EtxModeComputesLinkQuality) {
   ASSERT_NE(a.table().lookup(1, bed.sim.now()), nullptr);
 }
 
+/// Link layer whose received frames the test injects at chosen times.
+class ScriptedLink final : public netsim::LinkLayer {
+ public:
+  explicit ScriptedLink(netsim::NodeId address) : address_(address) {}
+  void send(netsim::Packet, netsim::NodeId) override {}
+  void set_receive_callback(ReceiveCallback cb) override {
+    receive_ = std::move(cb);
+  }
+  void set_tx_failed_callback(TxFailedCallback) override {}
+  netsim::NodeId address() const override { return address_; }
+  template <typename Header>
+  void receive(const Header& header, netsim::NodeId from) {
+    netsim::Packet packet(0);
+    packet.push(header);
+    receive_(std::move(packet), from);
+  }
+
+ private:
+  netsim::NodeId address_;
+  ReceiveCallback receive_;
+};
+
+TEST(OlsrTest, TcRefreshingAnExpiredTupleRestoresItsRoute) {
+  // Node 0 hears only node 1; node 1's TCs advertise node 2, and one TC
+  // from node 2 advertises node 3. That tuple expires at 6.3 s; a hello
+  // at 6.35 s makes node 0 recompute without it, and a same-ANSN TC from
+  // node 2 at 6.37 s (before node 0's timers erase the stale tuple)
+  // brings it back. The route to node 3 must come back with it.
+  netsim::Simulator sim(7);
+  ScriptedLink link(0);
+  OlsrProtocol router(sim, link);
+  router.start();
+  const auto at_ms = [&](std::int64_t ms, auto action) {
+    sim.schedule_at(SimTime::milliseconds(ms), action);
+  };
+  HelloHeader hello;
+  hello.origin = 1;
+  hello.neighbors.push_back({0, LinkCode::kSym, 255});
+  for (std::int64_t ms = 100; ms <= 8000; ms += 500) {
+    at_ms(ms, [&] { link.receive(hello, 1); });
+  }
+  std::uint16_t seq = 0;
+  for (std::int64_t ms = 200; ms <= 8000; ms += 2000) {
+    at_ms(ms, [&] {
+      TcHeader tc;
+      tc.origin = 1;
+      tc.message_seq = ++seq;
+      tc.ansn = 1;
+      tc.advertised.push_back({2, 255});
+      link.receive(tc, 1);
+    });
+  }
+  TcHeader far;
+  far.origin = 2;
+  far.ansn = 1;
+  far.advertised.push_back({3, 255});
+  far.message_seq = 1;
+  at_ms(300, [&] { link.receive(far, 1); });
+  sim.run_until(SimTime::milliseconds(1000));
+  const RouteEntry* before = router.table().lookup(3, sim.now());
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(before->hop_count, 3u);
+
+  at_ms(6350, [&] { link.receive(hello, 1); });
+  sim.run_until(SimTime::milliseconds(6360));
+  EXPECT_EQ(router.table().lookup(3, sim.now()), nullptr) << "tuple expired";
+
+  far.message_seq = 2;
+  at_ms(6370, [&] { link.receive(far, 1); });
+  sim.run_until(SimTime::milliseconds(6380));
+  const RouteEntry* after = router.table().lookup(3, sim.now());
+  ASSERT_NE(after, nullptr) << "refreshed tuple left out of the table";
+  EXPECT_EQ(after->next_hop, 1u);
+  EXPECT_EQ(after->hop_count, 3u);
+}
+
 TEST(OlsrTest, EtxUnknownLinkIsInfinite) {
   Testbed bed;
   bed.add_node({0, 0}, olsr_factory());

@@ -14,9 +14,7 @@
 #include <string>
 
 #include "core/fundamental_diagram.h"
-#include "core/geometry.h"
 #include "core/nas_lane.h"
-#include "core/road.h"
 #include "core/lane_statistics.h"
 #include "core/space_time.h"
 #include "scenario/table1.h"
@@ -24,7 +22,6 @@
 #include "trace/csv_format.h"
 #include "trace/ns2_format.h"
 #include "trace/random_waypoint.h"
-#include "trace/trace_generator.h"
 #include "util/cli_args.h"
 #include "util/table_writer.h"
 
@@ -55,19 +52,19 @@ int reject_unknown(const CliArgs& args) {
   return 2;
 }
 
-ca::Road make_ca_road(std::int64_t cells, std::int64_t nodes, double p,
-                      std::uint64_t seed, bool line) {
-  ca::NasParams params;
-  params.lane_length = cells;
-  params.slowdown_p = p;
-  ca::Road road;
-  ca::NasLane lane(params, nodes, ca::InitialPlacement::kRandom, Rng(seed));
-  if (line) {
-    road.add_lane(std::move(lane), ca::make_line(params.lane_length_m()));
-  } else {
-    road.add_lane(std::move(lane), ca::make_circuit(params.lane_length_m()));
-  }
-  return road;
+/// The Table-I mobility trace a protocol run uses (same lane seed stream,
+/// closed boundary and delta offset), at the given shape.
+trace::MobilityTrace make_ca_trace(std::int64_t cells, std::int64_t nodes,
+                                   double p, std::int64_t steps,
+                                   std::uint64_t seed, bool line) {
+  scenario::TableIConfig config;
+  config.lane_cells = cells;
+  config.vehicles = static_cast<std::int32_t>(nodes);
+  config.slowdown_p = p;
+  config.duration_s = static_cast<double>(steps);
+  config.seed = seed;
+  config.circular_layout = !line;
+  return scenario::make_table1_trace(config);
 }
 
 int cmd_trace(const CliArgs& args) {
@@ -94,10 +91,7 @@ int cmd_trace(const CliArgs& args) {
     options.seed = seed;
     mobility = trace::generate_random_waypoint(options);
   } else {
-    ca::Road road = make_ca_road(cells, nodes, p, seed, line);
-    trace::TraceGeneratorOptions options;
-    options.steps = steps;
-    mobility = trace::generate_trace(road, options);
+    mobility = make_ca_trace(cells, nodes, p, steps, seed, line);
   }
   if (format == "csv") {
     trace::CsvExportOptions csv;
@@ -240,10 +234,7 @@ int cmd_connectivity(const CliArgs& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   if (const int rc = reject_unknown(args)) return rc;
 
-  ca::Road road = make_ca_road(400, nodes, p, seed, false);
-  trace::TraceGeneratorOptions trace_options;
-  trace_options.steps = steps;
-  const auto mobility = trace::generate_trace(road, trace_options);
+  const auto mobility = make_ca_trace(400, nodes, p, steps, seed, false);
   const auto paths = trace::compile_paths(mobility);
 
   trace::ConnectivitySweepOptions sweep;

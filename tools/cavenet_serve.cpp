@@ -7,7 +7,8 @@
 //                                            (default 0 = ephemeral; the
 //                                            bound port is printed)
 //   cavenet-serve ... --workers N            worker lanes (default 2,
-//                                            <= 0 = hardware threads)
+//                                            0 = hardware threads,
+//                                            at most 1024)
 //   cavenet-serve ... --max-body-bytes N     submission size cap
 //   cavenet-serve ... --max-json-depth N     spec JSON nesting cap
 //   cavenet-serve ... --heartbeat SECS       per-job progress heartbeat
@@ -29,6 +30,7 @@
 #include <string>
 #include <thread>
 
+#include "runner/ensemble.h"
 #include "serve/service.h"
 #include "util/cli_args.h"
 
@@ -53,14 +55,22 @@ int main(int argc, char** argv) {
 
   const CliArgs args(argc, argv, {});
   serve::ServiceOptions options;
-  options.state_dir = args.get_string("state-dir", "");
-  options.http_port = static_cast<int>(args.get_int("port", 0));
-  options.workers = static_cast<int>(args.get_int("workers", 2));
-  options.max_body_bytes =
-      static_cast<std::size_t>(args.get_int("max-body-bytes", 8 * 1024 * 1024));
-  options.max_json_depth =
-      static_cast<std::size_t>(args.get_int("max-json-depth", 64));
-  options.heartbeat_period_s = args.get_double("heartbeat", 5.0);
+  try {
+    options.state_dir = args.get_string("state-dir", "");
+    options.http_port = static_cast<int>(args.get_int("port", 0));
+    // Bounded before the service exists: no worker thread or state
+    // directory is created for an out-of-range request.
+    options.workers =
+        runner::checked_jobs(args.get_int("workers", 2), "--workers");
+    options.max_body_bytes = static_cast<std::size_t>(
+        args.get_int("max-body-bytes", 8 * 1024 * 1024));
+    options.max_json_depth =
+        static_cast<std::size_t>(args.get_int("max-json-depth", 64));
+    options.heartbeat_period_s = args.get_double("heartbeat", 5.0);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "cavenet-serve: %s\n", error.what());
+    return 2;
+  }
 
   for (const std::string& flag : args.unknown_flags()) {
     std::fprintf(stderr, "%s\n", args.describe_unknown(flag).c_str());
