@@ -10,7 +10,8 @@
 //
 // --jobs N     fan the sweep points across N ensemble workers (results
 //              are bitwise-identical for every N; wall-clock columns
-//              vary).
+//              vary). 0 = one per hardware thread; N is bounded like
+//              cavenet-run's --jobs, and an out-of-range N exits 2.
 // --smoke      tiny fleets + short runs; the `bench-smoke` ctest label
 //              runs this mode so the bench itself stays green under the
 //              sanitizer presets. Smoke runs also record kernel-ms and
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "runner/ensemble.h"
 #include "scenario/scale.h"
 #include "util/cli_args.h"
 #include "util/executor.h"
@@ -156,7 +158,13 @@ int main(int argc, char** argv) {
   using namespace cavenet::scenario;
 
   CliArgs args(argc, argv);
-  const int jobs = static_cast<int>(args.get_int("jobs", 1));
+  int jobs = 1;
+  try {
+    jobs = runner::checked_jobs(args.get_int("jobs", 1));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   const bool smoke = args.get_bool("smoke", false);
   const bool linear = args.get_bool("linear", false);
   const std::string vehicles_csv = args.get_string("vehicles", "");

@@ -28,7 +28,13 @@ void OlsrProtocol::add_local_network(NodeId network) {
   local_networks_.push_back(network);
 }
 
+const RoutingTable& OlsrProtocol::table() const {
+  materialize_routes();
+  return table_;
+}
+
 std::optional<NodeId> OlsrProtocol::gateway_for(NodeId network) const {
+  materialize_routes();
   const RouteEntry* route = nullptr;
   NodeId gateway = 0;
   for (const auto& assoc : hna_associations_) {
@@ -45,6 +51,7 @@ std::optional<NodeId> OlsrProtocol::gateway_for(NodeId network) const {
 }
 
 const RouteEntry* OlsrProtocol::resolve(NodeId dst) const {
+  materialize_routes();
   if (const RouteEntry* direct = table_.lookup(dst, sim_->now())) {
     return direct;
   }
@@ -370,6 +377,9 @@ void OlsrProtocol::handle_hna(const HnaHeader& hna, NodeId from) {
 
 void OlsrProtocol::expire_state() {
   const SimTime now = sim_->now();
+  // A pending calculation filters at its own, earlier time: once a link or
+  // tuple it uses may have expired, run it before the erasures below.
+  if (now >= routes_valid_until_) materialize_routes();
   if (std::erase_if(links_, [&](const auto& kv) {
         return kv.second.sym_until <= now && kv.second.asym_until <= now;
       }) > 0) {
@@ -394,53 +404,67 @@ void OlsrProtocol::expire_state() {
 
 void OlsrProtocol::select_mprs() {
   // Greedy set cover (RFC 8.3.1 heuristic): first neighbours that are the
-  // sole cover of some 2-hop node, then best coverage counts.
-  mprs_.clear();
-  const auto neighbors = symmetric_neighbors();
-  std::set<NodeId> neighbor_set(neighbors.begin(), neighbors.end());
+  // sole cover of some 2-hop node, then best coverage counts (ties go to
+  // the lowest neighbour id).
+  const SimTime now = sim_->now();
+  mpr_candidates_.clear();
+  for (const auto& [addr, link] : links_) {
+    if (link.sym_until > now) mpr_candidates_.push_back(addr);
+  }
+  const auto is_neighbor = [this](NodeId n) {
+    return std::binary_search(mpr_candidates_.begin(), mpr_candidates_.end(),
+                              n);
+  };
 
   // Strict 2-hop set: reachable via a sym neighbour, not a neighbour or us.
-  std::set<NodeId> uncovered;
-  std::map<NodeId, std::vector<NodeId>> coverers;  // two-hop -> neighbours
+  coverage_.clear();
   for (const auto& t : two_hop_) {
-    if (t.expires <= sim_->now()) continue;
-    if (!neighbor_set.contains(t.neighbor)) continue;
-    if (t.two_hop == address() || neighbor_set.contains(t.two_hop)) continue;
-    uncovered.insert(t.two_hop);
-    coverers[t.two_hop].push_back(t.neighbor);
+    if (t.expires <= now || !is_neighbor(t.neighbor)) continue;
+    if (t.two_hop == address() || is_neighbor(t.two_hop)) continue;
+    coverage_.emplace_back(
+        t.two_hop,
+        static_cast<std::uint32_t>(
+            std::lower_bound(mpr_candidates_.begin(), mpr_candidates_.end(),
+                             t.neighbor) -
+            mpr_candidates_.begin()));
   }
-
-  for (const auto& [two_hop, covering] : coverers) {
-    if (covering.size() == 1) {
-      mprs_.insert(covering.front());
+  std::sort(coverage_.begin(), coverage_.end());
+  // Calls f(first, last) for each 2-hop node's run of coverers.
+  const auto for_each_two_hop = [this](auto&& f) {
+    for (auto run = coverage_.begin(); run != coverage_.end();) {
+      auto last = run;
+      while (last != coverage_.end() && last->first == run->first) ++last;
+      f(run, last);
+      run = last;
     }
-  }
-  auto cover = [&](NodeId mpr) {
-    std::erase_if(uncovered, [&](NodeId n2) {
-      const auto& c = coverers[n2];
-      return std::find(c.begin(), c.end(), mpr) != c.end();
-    });
   };
-  for (const NodeId mpr : mprs_) cover(mpr);
 
-  while (!uncovered.empty()) {
-    NodeId best = 0;
-    std::size_t best_count = 0;
-    for (const NodeId n : neighbors) {
-      if (mprs_.contains(n)) continue;
-      std::size_t count = 0;
-      for (const NodeId n2 : uncovered) {
-        const auto& c = coverers[n2];
-        if (std::find(c.begin(), c.end(), n) != c.end()) ++count;
+  is_mpr_.assign(mpr_candidates_.size(), 0);
+  for_each_two_hop([this](auto first, auto last) {
+    if (last - first == 1) is_mpr_[first->second] = 1;
+  });
+  while (true) {
+    // Coverage count of every neighbour over the still-uncovered nodes;
+    // MPRs cover none of those, so they count 0.
+    cover_counts_.assign(mpr_candidates_.size(), 0);
+    bool uncovered = false;
+    for_each_two_hop([this, &uncovered](auto first, auto last) {
+      if (std::any_of(first, last,
+                      [this](const auto& c) { return is_mpr_[c.second]; })) {
+        return;
       }
-      if (count > best_count) {
-        best_count = count;
-        best = n;
-      }
-    }
-    if (best_count == 0) break;  // unreachable 2-hop nodes (stale tuples)
-    mprs_.insert(best);
-    cover(best);
+      uncovered = true;
+      for (; first != last; ++first) ++cover_counts_[first->second];
+    });
+    if (!uncovered) break;
+    const auto best =
+        std::max_element(cover_counts_.begin(), cover_counts_.end());
+    is_mpr_[static_cast<std::size_t>(best - cover_counts_.begin())] = 1;
+  }
+
+  mprs_.clear();
+  for (std::size_t i = 0; i < mpr_candidates_.size(); ++i) {
+    if (is_mpr_[i]) mprs_.insert(mprs_.end(), mpr_candidates_[i]);
   }
 }
 
@@ -449,6 +473,27 @@ void OlsrProtocol::compute_routes() {
   if (!routes_dirty_ && now < routes_valid_until_) return;
   routes_dirty_ = false;
   routes_valid_until_ = SimTime::max();
+  for (const auto& [addr, link] : links_) {
+    if (link.sym_until <= now) continue;
+    routes_valid_until_ = std::min(routes_valid_until_, link.sym_until);
+  }
+  for (const auto& t : topology_) {
+    if (t.expires <= now) continue;
+    routes_valid_until_ = std::min(routes_valid_until_, t.expires);
+  }
+  // A later change that would alter the result at `now` either marks the
+  // routes dirty (and the next call site re-marks) or erases an entry the
+  // calculation uses (and expire_state runs it first); a refresh of an
+  // unexpired entry does not. So running it later at `now` yields the
+  // table a run right here would have.
+  routes_time_ = now;
+  routes_pending_ = true;
+}
+
+void OlsrProtocol::materialize_routes() const {
+  if (!routes_pending_) return;
+  routes_pending_ = false;
+  const SimTime now = routes_time_;
 
   // Dijkstra over sym links + topology edges. Cost is 1 per hop, or ETX
   // when the LQ extension is active. The frontier is a binary heap driven
@@ -463,7 +508,6 @@ void OlsrProtocol::compute_routes() {
   nodes_.clear();
   for (const auto& [addr, link] : links_) {
     if (link.sym_until <= now) continue;
-    routes_valid_until_ = std::min(routes_valid_until_, link.sym_until);
     const double cost = params_.use_etx ? link_etx(addr) : 1.0;
     if (cost == kUnreached) continue;
     push({cost, 1, addr, addr});
@@ -476,7 +520,6 @@ void OlsrProtocol::compute_routes() {
   edges_.clear();
   for (const auto& t : topology_) {
     if (t.expires <= now) continue;
-    routes_valid_until_ = std::min(routes_valid_until_, t.expires);
     const double cost =
         params_.use_etx ? (t.quality > 0.0 ? 1.0 / t.quality : 0.0) : 1.0;
     if (cost <= 0.0 || t.dest == address()) continue;

@@ -14,7 +14,9 @@
 // a topology tuple appearing, vanishing, changing quality or coming back
 // after it expired — or when simulated time reaches the earliest expiry
 // among the links and tuples the last calculation used. Between those
-// events a recalculation would reproduce the same table.
+// events a recalculation would reproduce the same table. A recalculation
+// is only marked pending with its time; the table is computed from the
+// link and topology sets as of that time when it is first read.
 #ifndef CAVENET_ROUTING_OLSR_H
 #define CAVENET_ROUTING_OLSR_H
 
@@ -101,7 +103,7 @@ class OlsrProtocol final : public RoutingProtocol {
 
   void start() override;
   void send(netsim::Packet packet, netsim::NodeId destination) override;
-  const RoutingTable& table() const override { return table_; }
+  const RoutingTable& table() const override;
 
   const OlsrParams& params() const noexcept { return params_; }
   /// Current MPR set (for tests and the MPR ablation bench).
@@ -155,14 +157,16 @@ class OlsrProtocol final : public RoutingProtocol {
   void expire_state();
   bool link_is_sym(netsim::NodeId neighbor) const;
   void select_mprs();
-  /// Brings the table up to date with the link and topology sets; a no-op
-  /// unless an input changed or a used tuple expired since the last run.
+  /// Marks a route calculation pending at the current time; a no-op
+  /// unless an input changed or a used tuple expired since the last one.
   void compute_routes();
+  /// Runs the pending calculation, if any, at the time it was marked.
+  void materialize_routes() const;
   /// Route to `dst`, falling back to the best HNA gateway.
   const RouteEntry* resolve(netsim::NodeId dst) const;
 
   OlsrParams params_;
-  RoutingTable table_;
+  mutable RoutingTable table_;
   std::map<netsim::NodeId, LinkTuple> links_;
   std::vector<TwoHopTuple> two_hop_;
   std::set<netsim::NodeId> mprs_;
@@ -185,6 +189,18 @@ class OlsrProtocol final : public RoutingProtocol {
   /// Earliest sym_until / topology expiry among what the table was
   /// computed from: at that instant a used link or tuple drops out.
   SimTime routes_valid_until_ = SimTime::zero();
+  /// A calculation compute_routes() marked and no read has run yet, and
+  /// the time it filters links and tuples at.
+  mutable bool routes_pending_ = false;
+  SimTime routes_time_ = SimTime::zero();
+
+  // MPR-selection buffers, reused across calls.
+  std::vector<netsim::NodeId> mpr_candidates_;  ///< sorted sym neighbours
+  /// (strict 2-hop node, index into mpr_candidates_) per covering link,
+  /// sorted: each 2-hop node's coverers form one run.
+  std::vector<std::pair<netsim::NodeId, std::uint32_t>> coverage_;
+  std::vector<char> is_mpr_;                ///< parallel to mpr_candidates_
+  std::vector<std::uint32_t> cover_counts_;  ///< parallel to mpr_candidates_
 
   // Route-calculation buffers, reused across calls.
   struct FrontierItem {
@@ -207,10 +223,10 @@ class OlsrProtocol final : public RoutingProtocol {
     netsim::NodeId next_hop;
     std::uint32_t hops;
   };
-  std::vector<FrontierItem> frontier_;  ///< min-heap on cost
-  std::vector<Edge> edges_;             ///< topology edges by last_hop
-  std::vector<netsim::NodeId> nodes_;   ///< sorted ids a route can reach
-  std::vector<Reached> reached_;        ///< parallel to nodes_
+  mutable std::vector<FrontierItem> frontier_;  ///< min-heap on cost
+  mutable std::vector<Edge> edges_;    ///< topology edges by last_hop
+  mutable std::vector<netsim::NodeId> nodes_;  ///< sorted reachable ids
+  mutable std::vector<Reached> reached_;       ///< parallel to nodes_
 };
 
 }  // namespace cavenet::routing::olsr

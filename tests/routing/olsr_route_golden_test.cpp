@@ -3,7 +3,9 @@
 // every node's complete routing table plus its HNA gateway choice is
 // compared against a committed fixture. Route computation may get faster
 // but never different: a table that lags a link or topology change by even
-// one sample diverges here.
+// one sample diverges here. The same sweep is checked a second time with
+// every table and gateway read each 10 ms between samples: when a table is
+// read must not change what it holds.
 //
 // Regenerate the fixture (only when a change *intentionally* alters OLSR
 // routing behaviour) by running routing_tests once with
@@ -96,9 +98,10 @@ std::string sample_line(int bed_index, int step, Testbed& bed, int nodes) {
 }
 
 /// A testbed of bouncing (and optionally blinking) nodes, sampled once per
-/// 0.25 s step.
-std::string dump_bed(int bed_index, const BedShape& shape,
-                     std::uint64_t seed) {
+/// 0.25 s step. With read_every_ms > 0 the step is also run in slices of
+/// that length, every node's table and gateway read after each one.
+std::string dump_bed(int bed_index, const BedShape& shape, std::uint64_t seed,
+                     int read_every_ms) {
   Rng rng(seed);
   const Testbed::ProtocolFactory factory = olsr_factory(shape.use_etx);
   Testbed bed(seed);
@@ -145,6 +148,16 @@ std::string dump_bed(int bed_index, const BedShape& shape,
                                    ? Vec2{p.x, p.y + 100000.0}
                                    : p);
     }
+    for (int ms = read_every_ms; read_every_ms > 0 && ms < 250;
+         ms += read_every_ms) {
+      bed.sim.run_until(SimTime::milliseconds((step - 1) * 250 + ms));
+      for (int i = 0; i < shape.nodes; ++i) {
+        const auto& router = dynamic_cast<const OlsrProtocol&>(
+            bed.router(static_cast<netsim::NodeId>(i)));
+        router.table();
+        router.gateway_for(kInternet);
+      }
+    }
     bed.sim.run_until(SimTime::milliseconds(step * 250));
     out << sample_line(bed_index, step, bed, shape.nodes);
   }
@@ -153,7 +166,7 @@ std::string dump_bed(int bed_index, const BedShape& shape,
 
 /// The sweep under the gate, drawn from a fixed meta-seed so the fixture
 /// and the checked run always agree on it.
-std::string dump_all_beds() {
+std::string dump_all_beds(int read_every_ms = 0) {
   Rng meta(20261019);
   const BedShape shapes[] = {
       // Hop-count routing, HNA gateway at node 0.
@@ -172,21 +185,14 @@ std::string dump_all_beds() {
   std::string dump;
   int index = 0;
   for (const BedShape& shape : shapes) {
-    dump += dump_bed(index++, shape, meta.uniform_int(std::uint64_t{1} << 32));
+    dump += dump_bed(index++, shape, meta.uniform_int(std::uint64_t{1} << 32),
+                     read_every_ms);
   }
   return dump;
 }
 
-TEST(OlsrRouteGoldenTest, MobileTablesMatchGoldenFixture) {
-  const std::string fresh = dump_all_beds();
-
-  if (std::getenv("CAVENET_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(kGoldenPath, std::ios::trunc);
-    ASSERT_TRUE(out.is_open()) << "cannot write " << kGoldenPath;
-    out << fresh;
-    GTEST_SKIP() << "fixture regenerated at " << kGoldenPath;
-  }
-
+/// Compares per line so a mismatch names the first drifted sample.
+void expect_matches_fixture(const std::string& fresh) {
   std::ifstream in(kGoldenPath);
   ASSERT_TRUE(in.is_open())
       << "missing fixture " << kGoldenPath
@@ -194,7 +200,6 @@ TEST(OlsrRouteGoldenTest, MobileTablesMatchGoldenFixture) {
   std::stringstream golden;
   golden << in.rdbuf();
 
-  // Compare per line so a mismatch names the first drifted sample.
   std::istringstream fresh_lines(fresh);
   std::istringstream golden_lines(golden.str());
   std::string fresh_line, golden_line;
@@ -209,6 +214,24 @@ TEST(OlsrRouteGoldenTest, MobileTablesMatchGoldenFixture) {
   }
   EXPECT_FALSE(std::getline(fresh_lines, fresh_line))
       << "fresh dump has extra lines beyond the fixture";
+}
+
+TEST(OlsrRouteGoldenTest, MobileTablesMatchGoldenFixture) {
+  const std::string fresh = dump_all_beds();
+
+  if (std::getenv("CAVENET_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(kGoldenPath, std::ios::trunc);
+    ASSERT_TRUE(out.is_open()) << "cannot write " << kGoldenPath;
+    out << fresh;
+    GTEST_SKIP() << "fixture regenerated at " << kGoldenPath;
+  }
+  expect_matches_fixture(fresh);
+}
+
+TEST(OlsrRouteGoldenTest, ReadingTablesEvery10msMatchesGoldenFixture) {
+  // Reads between the samples run pending route calculations early, close
+  // to where they were marked; the 0.25 s samples must not move.
+  expect_matches_fixture(dump_all_beds(10));
 }
 
 }  // namespace
